@@ -6,7 +6,7 @@
 //
 //   {
 //     "bench": "<binary name>",
-//     "schema_version": 2,
+//     "schema_version": 4,
 //     "hardware_concurrency": <uint>,
 //     "results": [
 //       {
@@ -22,7 +22,9 @@
 //         "achieved_qps": <double>,    // optional
 //         "shed_rate": <double>,       // optional, in [0, 1]
 //         "write_p50_us": <double>,    // optional (mixed-class modes)
-//         "write_p95_us": <double>     // optional
+//         "write_p95_us": <double>,    // optional
+//         "scl_iterations_per_solve": <double>  // optional (circuit
+//                                               // kernel modes, v4)
 //       }, ...
 //     ]
 //   }
@@ -37,7 +39,10 @@
 // write class's end-to-end latency when a mode mixes classes. A record
 // omits the optional keys when the mode has nothing to report (closed
 // loop, search-only); consumers key on label/geometry and must tolerate
-// their absence.
+// their absence. Schema v4 adds the optional scl_iterations_per_solve:
+// mean device passes per ScL row solve (after each solve's v = 0 seed)
+// over the mode's calls, a machine-independent work count that
+// bench_compare gates on every host.
 #pragma once
 
 #include <algorithm>
@@ -72,6 +77,8 @@ struct Record {
   double shed_rate = -1.0;
   double write_p50_us = -1.0;
   double write_p95_us = -1.0;
+  // Schema-v4 optional field, same convention.
+  double scl_iterations_per_solve = -1.0;
 };
 
 /// Linear-interpolated percentile over already-sorted samples, p in
@@ -131,7 +138,7 @@ inline bool write_json(const std::string& path, const std::string& bench,
   std::string out;
   char buffer[512];
   std::snprintf(buffer, sizeof buffer,
-                "{\n  \"bench\": \"%s\",\n  \"schema_version\": 3,\n"
+                "{\n  \"bench\": \"%s\",\n  \"schema_version\": 4,\n"
                 "  \"hardware_concurrency\": %u,\n  \"results\": [",
                 bench.c_str(), std::thread::hardware_concurrency());
   out += buffer;
@@ -158,6 +165,8 @@ inline bool write_json(const std::string& path, const std::string& bench,
     append_optional(out, "shed_rate", r.shed_rate);
     append_optional(out, "write_p50_us", r.write_p50_us);
     append_optional(out, "write_p95_us", r.write_p95_us);
+    append_optional(out, "scl_iterations_per_solve",
+                    r.scl_iterations_per_solve);
     out += "}";
   }
   out += "\n  ]\n}\n";

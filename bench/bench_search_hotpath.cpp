@@ -11,7 +11,10 @@
 //   * engine      — FerexEngine::search end to end (kernel + LTA + noise);
 // and at nominal fidelity the reference vs. LUT-gather distance kernels.
 // The headline number is the optimized/reference single-query speedup on
-// the default geometry.
+// the default geometry. The three modes that run CrossbarArray::search
+// also record scl_iterations_per_solve, the mean device passes per ScL
+// row solve after the v = 0 seed: a count that does not depend on the
+// host, so bench_compare can gate solver work on any runner.
 //
 // Usage: bench_search_hotpath [--json <path>] [--queries <n>]
 //                             [--geometry <rows>x<dims>]...
@@ -64,10 +67,31 @@ benchjson::Record measure(const std::string& label, const Geometry& g,
   return record;
 }
 
+/// measure() for a mode that runs CrossbarArray::search on `array`,
+/// also recording the mean ScL device passes per row solve.
+benchjson::Record measure_counted(
+    const std::string& label, const Geometry& g,
+    const std::vector<std::vector<int>>& queries,
+    const circuit::CrossbarArray& array,
+    const std::function<void(const std::vector<int>&)>& fn) {
+  array.reset_scl_solve_stats();
+  benchjson::Record record = measure(label, g, "circuit", queries, fn);
+  const auto stats = array.scl_solve_stats();
+  if (stats.solves > 0) {
+    record.scl_iterations_per_solve = static_cast<double>(stats.iterations) /
+                                      static_cast<double>(stats.solves);
+  }
+  return record;
+}
+
 void print_record(const benchjson::Record& r) {
-  std::printf("  %-22s %-8s %10.1f q/s   p50 %9.1f us   p95 %9.1f us\n",
+  std::printf("  %-22s %-8s %10.1f q/s   p50 %9.1f us   p95 %9.1f us",
               r.label.c_str(), r.fidelity.c_str(), r.qps, r.latency_p50_us,
               r.latency_p95_us);
+  if (r.scl_iterations_per_solve >= 0.0) {
+    std::printf("   %.2f passes/solve", r.scl_iterations_per_solve);
+  }
+  std::printf("\n");
 }
 
 int usage(const char* argv0) {
@@ -138,15 +162,15 @@ int main(int argc, char** argv) {
                 [&](const std::vector<int>& q) {
                   (void)array->search_reference(q);
                 });
-    const auto circuit_optimized =
-        measure("circuit_optimized", g, "circuit", queries,
-                [&](const std::vector<int>& q) { (void)array->search(q); });
-    const auto circuit_parallel = measure(
-        "circuit_intra_parallel", g, "circuit", queries,
+    const auto circuit_optimized = measure_counted(
+        "circuit_optimized", g, queries, *array,
+        [&](const std::vector<int>& q) { (void)array->search(q); });
+    const auto circuit_parallel = measure_counted(
+        "circuit_intra_parallel", g, queries, *array,
         [&](const std::vector<int>& q) { (void)array->search(q, true); });
-    const auto circuit_engine =
-        measure("circuit_engine", g, "circuit", queries,
-                [&](const std::vector<int>& q) { (void)engine.search(q); });
+    const auto circuit_engine = measure_counted(
+        "circuit_engine", g, queries, *array,
+        [&](const std::vector<int>& q) { (void)engine.search(q); });
     const auto nominal_reference =
         measure("nominal_reference", g, "nominal", queries,
                 [&](const std::vector<int>& q) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -12,25 +13,157 @@ namespace ferex::circuit {
 
 namespace {
 
-// Per-cell current with the subthreshold exponential in factored form
-// (see the header comment): gate_factor = exp(Vgs*a), vth_factor =
-// exp(-Vth*a), scl_factor = exp(-Vscl*a). Both the flat kernel and the
-// reference kernel funnel through this single expression — same
-// operations in the same association order — so their results agree bit
-// for bit; only how the factors are obtained differs (cached tables vs.
-// re-derived per cell).
-inline double cell_current_model(double vgs_eff_v, double vds_eff_v,
-                                 double vth_v, double inv_r,
-                                 double gate_factor, double vth_factor,
-                                 double scl_factor, double isat_a,
-                                 double min_leak_a) {
-  if (vds_eff_v <= 0.0) return 0.0;
-  const double fet_current =
-      vgs_eff_v >= vth_v
-          ? isat_a
-          : std::max(isat_a * ((gate_factor * vth_factor) * scl_factor),
-                     min_leak_a);
-  return std::min(fet_current, vds_eff_v * inv_r);
+// The cell model and its derivative with respect to the ScL potential
+// v, with the subthreshold exponential in factored form (see the header
+// comment): gate_factor = exp(Vgs*a), vth_factor = exp(-Vth*a),
+// scl_factor = exp(-v*a). The current is
+//
+//   0                                    when Vds - v <= 0, else
+//   min(fet, (Vds - v) / R),   fet = Isat                    (Vgs - v >= Vth)
+//                                    max(Isat*10^..., leak)  (otherwise)
+//
+// and dI/dv is -a*I in subthreshold, -1/R when resistance-limited and 0
+// when saturated, on the leak floor or with no drain bias. The scalar
+// form below and the 2-wide form in cell_pair() evaluate the same
+// operations in the same order, with every min/max/branch written as a
+// select, so both produce identical bits; only how the factors are
+// obtained differs between the kernels.
+struct CellSample {
+  double current_a;
+  double slope_a_per_v;
+};
+
+inline CellSample cell_model(double vgs_eff_v, double vds_eff_v, double vth_v,
+                             double inv_r, double gate_factor,
+                             double vth_factor, double scl_factor,
+                             double isat_a, double min_leak_a,
+                             double neg_alpha) {
+  const double subvt = isat_a * ((gate_factor * vth_factor) * scl_factor);
+  const bool on = vgs_eff_v >= vth_v;
+  const bool floored = subvt < min_leak_a;
+  const double fet = on ? isat_a : (floored ? min_leak_a : subvt);
+  const double fet_slope = (on || floored) ? 0.0 : neg_alpha * subvt;
+  const double limit = vds_eff_v * inv_r;
+  const bool res_limited = limit < fet;
+  const bool live = vds_eff_v > 0.0;
+  return {live ? (res_limited ? limit : fet) : 0.0,
+          live ? (res_limited ? -inv_r : fet_slope) : 0.0};
+}
+
+// Row sums of current and dI/dv in a fixed 4-lane order: lane l sums
+// devices j = l (mod 4) of the row's largest multiple-of-4 prefix, the
+// remaining tail devices go into lane 0 in order, and the lanes combine
+// as (l0 + l1) + (l2 + l3). Both kernels sum through this order, which
+// is what lets the 2-wide pass vectorize and still match the reference
+// bit for bit.
+struct LaneSums {
+  double current[4] = {0.0, 0.0, 0.0, 0.0};
+  double slope[4] = {0.0, 0.0, 0.0, 0.0};
+
+  void add(std::size_t lane, CellSample cell) {
+    current[lane] += cell.current_a;
+    slope[lane] += cell.slope_a_per_v;
+  }
+  double total_current() const {
+    return (current[0] + current[1]) + (current[2] + current[3]);
+  }
+  double total_slope() const {
+    return (slope[0] + slope[1]) + (slope[2] + slope[3]);
+  }
+};
+
+inline std::size_t lane_of(std::size_t j, std::size_t main_end) {
+  return j < main_end ? j % 4 : 0;
+}
+
+// Two doubles per vector: the SSE2 baseline every x86-64 target has (and
+// one NEON register on AArch64), so no -march flag is needed. Written
+// with explicit vector types because GCC's auto-vectorizer rejects the
+// select form ("control flow in loop") under the default
+// -ftrapping-math, and scalar "branchless" code compiles to branches
+// that mispredict on the mixed on/off/floored cells of a row.
+typedef double v2df __attribute__((vector_size(16)));
+
+inline v2df load2(const double* p) {
+  v2df v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline v2df splat(double x) { return v2df{x, x}; }
+
+// The flat row arrays one device pass reads: query-dependent biases
+// (shared by every row) and the row's own programmed devices.
+struct RowSpans {
+  const double* vgs;
+  const double* vds;
+  const double* gate_factor;
+  const double* vth;
+  const double* inv_r;
+  const double* vth_factor;
+  std::size_t devices;
+};
+
+struct CellConstants {
+  double isat_a;
+  double min_leak_a;
+  double neg_alpha;
+};
+
+// cell_model() for devices j and j + 1, accumulated into the lane pair.
+// The vector ?: selects lane by lane on the comparison masks.
+inline void cell_pair(const RowSpans& row, const CellConstants& k,
+                      std::size_t j, v2df v_scl, v2df scl_factor,
+                      v2df& current, v2df& slope) {
+  const v2df zero = splat(0.0);
+  const v2df isat = splat(k.isat_a);
+  const v2df min_leak = splat(k.min_leak_a);
+  const v2df vgs_eff = load2(row.vgs + j) - v_scl;
+  const v2df vds_eff = load2(row.vds + j) - v_scl;
+  const v2df inv_r = load2(row.inv_r + j);
+  const v2df subvt =
+      isat * ((load2(row.gate_factor + j) * load2(row.vth_factor + j)) *
+              scl_factor);
+  const auto on = vgs_eff >= load2(row.vth + j);
+  const auto floored = subvt < min_leak;
+  const v2df fet = on ? isat : (floored ? min_leak : subvt);
+  const v2df fet_slope = (on | floored) ? zero : splat(k.neg_alpha) * subvt;
+  const v2df limit = vds_eff * inv_r;
+  const auto res_limited = limit < fet;
+  const auto live = vds_eff > zero;
+  current += live ? (res_limited ? limit : fet) : zero;
+  slope += live ? (res_limited ? -inv_r : fet_slope) : zero;
+}
+
+// One device pass over a row at ScL potential v_scl: the row current and
+// its derivative, summed in LaneSums order.
+inline LaneSums device_pass(const RowSpans& row, const CellConstants& k,
+                            double v_scl, double scl_factor) {
+  const std::size_t main_end = row.devices - row.devices % 4;
+  const v2df v = splat(v_scl);
+  const v2df f = splat(scl_factor);
+  v2df current01 = splat(0.0), current23 = splat(0.0);
+  v2df slope01 = splat(0.0), slope23 = splat(0.0);
+  for (std::size_t j = 0; j < main_end; j += 4) {
+    cell_pair(row, k, j, v, f, current01, slope01);
+    cell_pair(row, k, j + 2, v, f, current23, slope23);
+  }
+  LaneSums lanes;
+  lanes.current[0] = current01[0];
+  lanes.current[1] = current01[1];
+  lanes.current[2] = current23[0];
+  lanes.current[3] = current23[1];
+  lanes.slope[0] = slope01[0];
+  lanes.slope[1] = slope01[1];
+  lanes.slope[2] = slope23[0];
+  lanes.slope[3] = slope23[1];
+  for (std::size_t j = main_end; j < row.devices; ++j) {
+    lanes.add(0, cell_model(row.vgs[j] - v_scl, row.vds[j] - v_scl,
+                            row.vth[j], row.inv_r[j], row.gate_factor[j],
+                            row.vth_factor[j], scl_factor, k.isat_a,
+                            k.min_leak_a, k.neg_alpha));
+  }
+  return lanes;
 }
 
 // Gate factors grow as exp(Vgs * ln10/SS); clamp the exponent so extreme
@@ -40,9 +173,13 @@ inline double gate_factor_for(double vgs_v, double alpha) {
   return std::exp(std::min(vgs_v * alpha, 700.0));
 }
 
-// The damped fixed-point ScL solve: v = R_src * I(v). Undamped iteration
-// oscillates when R_src * dI/dv is large (the unclamped ablation case);
-// 2-3 damped iterations suffice at clamped impedance levels.
+// The ScL solve: the root of f(v) = v - R_src * I(v). I never rises with
+// v, so f' = 1 - R_src * dI/dv >= 1 and the root is unique and bracketed
+// by [0, R_src * I(0)]. Newton converges in about two passes; the
+// bracket falls back to the damped step (v + R_src * I) / 2 whenever a
+// Newton step would leave it, which keeps the unclamped ablation (where
+// R_src * |dI/dv| is large and the kinks of the cell model are sharp)
+// convergent.
 constexpr int kMaxSclIterations = 60;
 constexpr double kSclToleranceV = 1e-7;
 
@@ -246,52 +383,61 @@ void CrossbarArray::overwrite_row(std::size_t row,
   }
 }
 
-CrossbarArray::RowSolve CrossbarArray::solve_row(
-    std::size_t row, std::span<const double> vgs, std::span<const double> vds,
-    std::span<const double> gate_factors) const {
-  const double isat = config_.fet.isat_a;
-  const double min_leak = config_.fet.min_leak_a;
-  const std::size_t per_row = dims_ * fefets_per_cell_;
-  const std::size_t base = row * per_row;
-  const double* const vth = vth_.data() + base;
-  const double* const inv_r = inv_r_.data() + base;
-  const double* const vth_factor = vth_factor_.data() + base;
-  // All transcendentals are hoisted out of this loop: per device it is
-  // two subtractions, two compares, three multiplies and a min/max over
-  // contiguous spans — the vectorizable inner sum.
-  const auto total_current = [&](double v_scl, double scl_factor) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < per_row; ++j) {
-      sum += cell_current_model(vgs[j] - v_scl, vds[j] - v_scl, vth[j],
-                                inv_r[j], gate_factors[j], vth_factor[j],
-                                scl_factor, isat, min_leak);
-    }
-    return sum;
-  };
-
+template <typename Pass>
+CrossbarArray::RowSolve CrossbarArray::solve_scl(double source_res,
+                                                 double alpha,
+                                                 const Pass& pass) {
   RowSolve solve;
-  const double source_res = source_res_ohm();
+  LaneSums at = pass(0.0, 1.0);
   if (source_res <= 0.0) {
-    solve.current_a = total_current(0.0, 1.0);
+    solve.current_a = at.total_current();
     return solve;
   }
   double v_scl = 0.0;
-  double current = total_current(0.0, 1.0);
+  double lo = 0.0;
+  double hi = source_res * at.total_current();
   solve.converged = false;
   for (int iter = 0; iter < kMaxSclIterations; ++iter) {
-    const double v_next = 0.5 * (v_scl + current * source_res);
-    // exp(-Vscl*a) once per iteration covers the whole row.
-    current = total_current(v_next, std::exp(-v_next * subvt_alpha_));
+    const double target = source_res * at.total_current();
+    const double residual = v_scl - target;
+    if (residual < 0.0) {
+      lo = v_scl;
+    } else {
+      hi = v_scl;
+    }
+    const double newton =
+        v_scl - residual / (1.0 - source_res * at.total_slope());
+    const double v_next = newton >= lo && newton <= hi
+                              ? newton
+                              : 0.5 * (v_scl + target);
+    // exp(-Vscl*a) once per pass covers the whole row.
+    at = pass(v_next, std::exp(-v_next * alpha));
     ++solve.iterations;
     if (std::abs(v_next - v_scl) < kSclToleranceV) {
-      v_scl = v_next;
       solve.converged = true;
       break;
     }
     v_scl = v_next;
   }
-  solve.current_a = current;
+  solve.current_a = at.total_current();
   return solve;
+}
+
+CrossbarArray::RowSolve CrossbarArray::solve_row(
+    std::size_t row, std::span<const double> vgs, std::span<const double> vds,
+    std::span<const double> gate_factors) const {
+  const std::size_t per_row = dims_ * fefets_per_cell_;
+  const std::size_t base = row * per_row;
+  const RowSpans spans{vgs.data(),           vds.data(),
+                       gate_factors.data(),  vth_.data() + base,
+                       inv_r_.data() + base, vth_factor_.data() + base,
+                       per_row};
+  const CellConstants constants{config_.fet.isat_a, config_.fet.min_leak_a,
+                                -subvt_alpha_};
+  return solve_scl(source_res_ohm(), subvt_alpha_,
+                   [&](double v_scl, double scl_factor) {
+                     return device_pass(spans, constants, v_scl, scl_factor);
+                   });
 }
 
 std::vector<double> CrossbarArray::search(std::span<const int> query,
@@ -349,21 +495,6 @@ std::vector<double> CrossbarArray::search(std::span<const int> query,
   return currents;
 }
 
-double CrossbarArray::cell_current_reference(std::size_t dev, double vgs_v,
-                                             double vds_v,
-                                             double v_scl) const {
-  // Every factor re-derived from first principles, per cell, per
-  // iteration — the readable form of the cell model the cached tables
-  // must reproduce exactly.
-  const double gate_factor = gate_factor_for(vgs_v, subvt_alpha_);
-  const double vth_factor = std::exp(-vth_[dev] * subvt_alpha_);
-  const double scl_factor = std::exp(-v_scl * subvt_alpha_);
-  return cell_current_model(vgs_v - v_scl, vds_v - v_scl, vth_[dev],
-                            1.0 / resistances_[dev], gate_factor, vth_factor,
-                            scl_factor, config_.fet.isat_a,
-                            config_.fet.min_leak_a);
-}
-
 std::vector<double> CrossbarArray::search_reference(
     std::span<const int> query) const {
   if (query.size() != dims_) {
@@ -385,7 +516,20 @@ std::vector<double> CrossbarArray::search_reference(
                  encoding_.vds_multiple(static_cast<std::size_t>(qv), i);
     }
   }
-  const double source_res = source_res_ohm();
+  // Every factor re-derived from first principles, per cell, per pass —
+  // the readable form of the cell model the cached tables must
+  // reproduce exactly.
+  const auto cell_current_reference = [&](std::size_t dev, double vgs_v,
+                                          double vds_v, double v_scl) {
+    const double gate_factor = gate_factor_for(vgs_v, subvt_alpha_);
+    const double vth_factor = std::exp(-vth_[dev] * subvt_alpha_);
+    const double scl_factor = std::exp(-v_scl * subvt_alpha_);
+    return cell_model(vgs_v - v_scl, vds_v - v_scl, vth_[dev],
+                      1.0 / resistances_[dev], gate_factor, vth_factor,
+                      scl_factor, config_.fet.isat_a, config_.fet.min_leak_a,
+                      -subvt_alpha_);
+  };
+  const std::size_t main_end = per_row - per_row % 4;
   std::vector<double> currents(rows_);
   for (std::size_t row = 0; row < rows_; ++row) {
     if (live_[row] == 0) {
@@ -394,29 +538,15 @@ std::vector<double> CrossbarArray::search_reference(
       continue;
     }
     const std::size_t base = row * per_row;
-    const auto total_current = [&](double v_scl) {
-      double sum = 0.0;
+    const auto pass = [&](double v_scl, double /*scl_factor*/) {
+      LaneSums lanes;
       for (std::size_t j = 0; j < per_row; ++j) {
-        sum += cell_current_reference(base + j, vgs[j], vds[j], v_scl);
+        lanes.add(lane_of(j, main_end),
+                  cell_current_reference(base + j, vgs[j], vds[j], v_scl));
       }
-      return sum;
+      return lanes;
     };
-    if (source_res <= 0.0) {
-      currents[row] = total_current(0.0);
-      continue;
-    }
-    double v_scl = 0.0;
-    double current = total_current(0.0);
-    for (int iter = 0; iter < kMaxSclIterations; ++iter) {
-      const double v_next = 0.5 * (v_scl + current * source_res);
-      current = total_current(v_next);
-      if (std::abs(v_next - v_scl) < kSclToleranceV) {
-        v_scl = v_next;
-        break;
-      }
-      v_scl = v_next;
-    }
-    currents[row] = current;
+    currents[row] = solve_scl(source_res_ohm(), subvt_alpha_, pass).current_a;
   }
   return currents;
 }

@@ -19,11 +19,15 @@
 //     = Isat * exp(Vgs*a) * exp(-Vth*a) * exp(-Vscl*a),   a = ln10 / SS
 //
 // so exp(Vgs*a) is cached per search value, exp(-Vth*a) per device at
-// program time, and exp(-Vscl*a) once per fixed-point iteration per row —
-// the per-device inner loop is pure multiply/min/max over contiguous
-// spans. search_reference() retains the straightforward per-device kernel
-// (same factored expression, re-derived biases, scalar loop); tests
-// assert the optimized path matches it bit for bit.
+// program time, and exp(-Vscl*a) once per device pass per row — the
+// per-device inner loop is multiplies, compares and selects over
+// contiguous spans, two devices per vector operation. Each row's ScL
+// potential is the root of v = R_src * I(v), found by a safeguarded
+// Newton solve whose device pass also sums dI/dv (about two passes after
+// the v = 0 seed). search_reference() retains the straightforward
+// per-device kernel (same cell model, same 4-lane summation order, same
+// Newton step, re-derived biases, scalar loop); tests assert the
+// optimized path matches it bit for bit.
 #pragma once
 
 #include <atomic>
@@ -62,10 +66,11 @@ struct CrossbarConfig {
   double program_tolerance_v = 5e-3;
 };
 
-/// Running totals of the damped fixed-point ScL solves behind search()
-/// (one solve per row per circuit-fidelity query). `non_converged` counts
-/// solves that hit the iteration cap without meeting the tolerance —
-/// surfaced through core/profiler instead of silently capping.
+/// Running totals of the Newton ScL solves behind search() (one solve
+/// per row per circuit-fidelity query). `iterations` counts device passes
+/// after each solve's v = 0 seed pass; `non_converged` counts solves that
+/// hit the iteration cap without meeting the tolerance — surfaced through
+/// core/profiler instead of silently capping.
 struct SclSolveStats {
   std::uint64_t solves = 0;
   std::uint64_t iterations = 0;
@@ -186,11 +191,11 @@ class CrossbarArray {
   std::vector<int> nominal_distances_reference(
       std::span<const int> query) const;
 
-  /// Snapshot of the fixed-point solve counters (search() only; the
-  /// reference kernel does not count). Thread-safe.
+  /// Snapshot of the ScL solve counters (search() only; the reference
+  /// kernel does not count). Thread-safe.
   SclSolveStats scl_solve_stats() const noexcept;
 
-  /// Zeroes the fixed-point solve counters.
+  /// Zeroes the ScL solve counters.
   void reset_scl_solve_stats() const noexcept;
 
   /// Post-variation threshold voltage of one device (for tests/analysis).
@@ -229,14 +234,20 @@ class CrossbarArray {
     int iterations = 0;
     bool converged = true;
   };
-  /// One row's damped fixed-point ScL solve over the flat device arrays.
-  /// Pure — search() aggregates the per-row results into the shared solve
-  /// counters once per query, so parallel rows never contend on them.
+  /// The safeguarded Newton ScL solve both kernels share.
+  /// `pass(v, exp(-v*a))` runs one device pass over the row at ScL
+  /// potential v and returns its current and dI/dv sums; the solve
+  /// counts every pass after the v = 0 seed as one iteration.
+  template <typename Pass>
+  static RowSolve solve_scl(double source_res, double alpha,
+                            const Pass& pass);
+  /// One row's ScL solve over the flat device arrays, with the 2-wide
+  /// device pass. Pure — search() aggregates the per-row results into
+  /// the shared solve counters once per query, so parallel rows never
+  /// contend on them.
   RowSolve solve_row(std::size_t row, std::span<const double> vgs,
                      std::span<const double> vds,
                      std::span<const double> gate_factors) const;
-  double cell_current_reference(std::size_t dev, double vgs_v, double vds_v,
-                                double v_scl) const;
 
   std::size_t rows_;
   std::size_t dims_;

@@ -109,11 +109,11 @@ struct SearchProfile {
   /// Histogram of winning nominal distances (index = distance, clipped).
   std::vector<std::size_t> winner_distance_histogram;
 
-  /// Fixed-point ScL solve behaviour during the replay (one solve per row
-  /// per circuit-fidelity query; all zero at nominal fidelity, where no
-  /// solves run). Surfaces what the crossbar's damped iteration used to
-  /// cap silently: how many iterations the solves took and how many hit
-  /// the cap without meeting the tolerance.
+  /// Newton ScL solve behaviour during the replay (one solve per row per
+  /// circuit-fidelity query; all zero at nominal fidelity, where no
+  /// solves run): how many device passes the solves took after their
+  /// v = 0 seed and how many hit the iteration cap without meeting the
+  /// tolerance.
   std::uint64_t scl_solves = 0;
   double scl_mean_iterations = 0.0;
   std::uint64_t scl_non_converged = 0;

@@ -291,6 +291,44 @@ TEST(Crossbar, UnclampedSourceLineCorruptsDistances) {
   EXPECT_LT(i_unclamped, i_clamped * 0.98);
 }
 
+TEST(Crossbar, UnclampedAblationSolvesConverge) {
+  // Without the op-amp clamp the 50 kOhm source makes R_src * |dI/dv|
+  // large, so a purely damped fixed point oscillates at the kinks of the
+  // cell model. The bracketed Newton solve must converge on every row of
+  // every query, for all three metrics.
+  for (const auto metric :
+       {DistanceMetric::kHamming, DistanceMetric::kManhattan,
+        DistanceMetric::kEuclideanSquared}) {
+    SCOPED_TRACE(csp::to_string(metric));
+    const auto enc =
+        encode::encode_distance_matrix(DistanceMatrix::make(metric, 2));
+    ASSERT_TRUE(enc.has_value());
+    const device::VoltageLadder ladder(enc->ladder_levels());
+    CrossbarConfig config;  // variation enabled
+    config.use_opamp_clamp = false;
+    const std::size_t rows = 128, dims = 64;
+    util::Rng rng(17);
+    CrossbarArray array(rows, dims, *enc, ladder, config, rng);
+    std::vector<int> values(dims);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (auto& v : values) {
+        v = static_cast<int>(rng.uniform_below(enc->stored_count()));
+      }
+      array.program_row(r, values);
+    }
+    const std::size_t queries = 200;
+    for (std::size_t q = 0; q < queries; ++q) {
+      for (auto& v : values) {
+        v = static_cast<int>(rng.uniform_below(enc->search_count()));
+      }
+      (void)array.search(values);
+    }
+    const auto stats = array.scl_solve_stats();
+    EXPECT_EQ(stats.solves, rows * queries);
+    EXPECT_EQ(stats.non_converged, 0u);
+  }
+}
+
 TEST(Crossbar, RejectsBadGeometryAndValues) {
   const auto enc = hamming2_encoding();
   const device::VoltageLadder ladder(enc.ladder_levels());

@@ -12,7 +12,10 @@
 #pragma GCC diagnostic ignored "-Wrestrict"
 #endif
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "circuit/crossbar.hpp"
 #include "circuit/energy_model.hpp"
@@ -117,6 +120,93 @@ TEST_P(CrossbarGeometry, SensedDistancesTrackNominalAcrossGeometry) {
     EXPECT_NEAR(currents[r] / array.unit_current_a(),
                 array.nominal_distance(query, r), 0.01)
         << "row " << r;
+  }
+}
+
+// Row current from the device model written out directly (unfactored
+// 10^x subthreshold law, branches, left-to-right sum) at ScL potential
+// v — independent of the crossbar's vectorized kernel.
+double direct_row_current(const CrossbarArray& array,
+                          std::span<const int> query, std::size_t row,
+                          double v_scl) {
+  const auto& enc = array.encoding();
+  const auto& fet = array.config().fet;
+  double sum = 0.0;
+  for (std::size_t d = 0; d < array.dims(); ++d) {
+    const auto qv = static_cast<std::size_t>(query[d]);
+    for (std::size_t i = 0; i < array.fefets_per_cell(); ++i) {
+      const double vgs =
+          array.ladder().vsearch(
+              static_cast<std::size_t>(enc.search_level(qv, i))) -
+          v_scl;
+      const double vds =
+          array.config().cell.vds_unit_v * enc.vds_multiple(qv, i) - v_scl;
+      if (vds <= 0.0) continue;
+      const double vth = array.device_vth(row, d, i);
+      const double fet_current =
+          vgs >= vth ? fet.isat_a
+                     : std::max(fet.isat_a * std::pow(10.0, (vgs - vth) /
+                                                       (fet.ss_mv_per_dec *
+                                                        1e-3)),
+                                fet.min_leak_a);
+      sum += std::min(fet_current, vds / array.device_resistance(row, d, i));
+    }
+  }
+  return sum;
+}
+
+TEST_P(CrossbarGeometry, ClampedSolveMatchesBisectionReference) {
+  // The ScL node solved by bisection to 1e-12 V on the direct device
+  // model. The kernel stops within kSclToleranceV = 1e-7 V of the root,
+  // and dI/I = a * dV with a = ln10 / 60 mV, so 1e-5 relative bounds
+  // what the solver tolerance allows (about 4e-6).
+  const auto& p = GetParam();
+  for (const auto metric :
+       {csp::DistanceMetric::kHamming, csp::DistanceMetric::kManhattan,
+        csp::DistanceMetric::kEuclideanSquared}) {
+    SCOPED_TRACE(csp::to_string(metric));
+    const auto enc =
+        encode::encode_distance_matrix(csp::DistanceMatrix::make(metric, 2));
+    ASSERT_TRUE(enc.has_value());
+    const device::VoltageLadder ladder(enc->ladder_levels());
+    const CrossbarConfig config;  // clamped, variation enabled
+    util::Rng rng(p.rows * 131 + p.dims);
+    CrossbarArray array(p.rows, p.dims, *enc, ladder, config, rng);
+    std::vector<int> values(p.dims);
+    for (std::size_t r = 0; r < p.rows; ++r) {
+      for (auto& v : values) {
+        v = static_cast<int>(rng.uniform_below(enc->stored_count()));
+      }
+      array.program_row(r, values);
+    }
+    for (auto& v : values) {
+      v = static_cast<int>(rng.uniform_below(enc->search_count()));
+    }
+    const auto currents = array.search(values);
+    const double source_res = config.opamp.output_res_ohm;
+    std::vector<double> reference(p.rows);
+    for (std::size_t r = 0; r < p.rows; ++r) {
+      // f(v) = v - R * I(v) rises monotonically through its root in
+      // [0, R * I(0)].
+      double lo = 0.0;
+      double hi = source_res * direct_row_current(array, values, r, 0.0);
+      while (hi - lo > 1e-12) {
+        const double mid = 0.5 * (lo + hi);
+        if (mid - source_res * direct_row_current(array, values, r, mid) <
+            0.0) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      reference[r] = direct_row_current(array, values, r, 0.5 * (lo + hi));
+      EXPECT_LE(std::abs(currents[r] - reference[r]), 1e-5 * reference[r])
+          << "row " << r;
+    }
+    EXPECT_EQ(std::min_element(currents.begin(), currents.end()) -
+                  currents.begin(),
+              std::min_element(reference.begin(), reference.end()) -
+                  reference.begin());
   }
 }
 

@@ -2,7 +2,8 @@
 // on each seeded violation fixture, honors waivers, passes the clean
 // fixture, and — the gate that matters — finds the real tree clean.
 // Also covers bench_compare's malformed-input contract (exit 2, path
-// named), since both tools share the "diagnose, don't guess" bar.
+// named), since both tools share the "diagnose, don't guess" bar, and
+// its host-independent work-count gate.
 //
 // The binaries under test are located via compile definitions wired in
 // CMakeLists.txt (FEREX_LINT_BIN / FEREX_BENCH_COMPARE_BIN /
@@ -262,6 +263,27 @@ TEST(BenchCompare, UnreadableFileExitsTwoNamingPath) {
       out);
   EXPECT_EQ(code, 2) << out;
   EXPECT_NE(out.find(missing), std::string::npos) << out;
+}
+
+// The work-count gate is machine-independent, so a differing
+// hardware_concurrency under --require-same-concurrency silences the
+// wall-clock gates (the 10x q/s drop below) but not the count.
+TEST(BenchCompare, WorkCountGateIgnoresHostShape) {
+  const std::string cmd = std::string(FEREX_BENCH_COMPARE_BIN) + " " +
+                          fixture("bench_counts_base.json") + " ";
+  std::string out;
+  EXPECT_EQ(run(cmd + fixture("bench_counts_within.json") +
+                    " --require-same-concurrency",
+                out),
+            0)
+      << out;
+  EXPECT_EQ(run(cmd + fixture("bench_counts_regressed.json") +
+                    " --require-same-concurrency",
+                out),
+            1)
+      << out;
+  EXPECT_NE(out.find("(passes/solve)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("(q/s)"), std::string::npos) << out;
 }
 
 }  // namespace

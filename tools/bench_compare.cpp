@@ -1,7 +1,7 @@
 // Bench regression gate: diffs a fresh `--json` document from
 // bench_search_hotpath / bench_batch / bench_serve against a committed
 // BENCH_*.json snapshot and fails when any shared label regressed past
-// the threshold — in throughput or in tail latency.
+// the threshold — in throughput, in tail latency or in solver work.
 //
 // Usage:
 //   bench_compare <baseline.json> <fresh.json>
@@ -20,17 +20,21 @@
 //     baseline shed_rate + frac -> regression. Absolute margin, not
 //     relative: a committed operating point of 0.00 shed would make any
 //     relative threshold vacuous or infinite.
+//   * solver work (schema v4 circuit kernel records): fresh
+//     scl_iterations_per_solve above 1.10 x baseline -> regression. A
+//     count, not a time: it does not depend on the host.
 // Any kind -> exit 1. A label whose baseline p95 is 0 (older snapshot,
 // or a mode without latency samples) skips the latency gate; a label
 // where either side carries no shed_rate (schema v2 snapshots, closed
-// loop modes) skips the shed gate — the dispatch is per record, so a v3
-// document gates v3-vs-v3 labels while still reading v2 baselines.
+// loop modes) skips the shed gate, and likewise for the work count — the
+// dispatch is per record, so a v4 document gates v4-vs-v4 labels while
+// still reading v2 baselines.
 //
-// --require-same-concurrency downgrades both gates to a note (exit 0)
-// when the two documents record different hardware_concurrency values:
-// q/s and latency measured on differently shaped hosts are not
-// comparable, and CI runners rarely match the machine that committed
-// the snapshot.
+// --require-same-concurrency downgrades the wall-clock gates (q/s, p95,
+// shed rate) to a note when the two documents record different
+// hardware_concurrency values: those measured on differently shaped
+// hosts are not comparable, and CI runners rarely match the machine that
+// committed the snapshot. The work-count gate applies regardless.
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -47,7 +51,12 @@ struct Entry {
   double qps = 0.0;
   double p95_us = 0.0;     ///< 0 when the record carries no latency
   double shed_rate = -1.0;  ///< negative when the record carries none
+  double scl_iterations_per_solve = -1.0;  ///< likewise
 };
+
+/// Largest tolerated growth of a work count: counts repeat exactly on
+/// any host, so the margin only absorbs deliberate small changes.
+constexpr double kMaxCountRegression = 0.10;
 
 struct BenchDoc {
   unsigned schema_version = 2;  ///< pre-v3 documents did gate already
@@ -145,12 +154,23 @@ bool parse_doc(const std::string& path, BenchDoc& doc) {
           find_number_after(close, "\"shed_rate\"", shed);
       if (shed_at == std::string::npos || shed_at >= record_end) shed = -1.0;
     }
+    // scl_iterations_per_solve is v4-only and per-record optional (the
+    // circuit kernel modes write it).
+    double iterations = -1.0;
+    if (doc.schema_version >= 4) {
+      const std::size_t iterations_at = find_number_after(
+          close, "\"scl_iterations_per_solve\"", iterations);
+      if (iterations_at == std::string::npos || iterations_at >= record_end) {
+        iterations = -1.0;
+      }
+    }
     Entry entry;
     entry.key = label + " " + std::to_string(static_cast<long>(rows)) + "x" +
                 std::to_string(static_cast<long>(dims));
     entry.qps = qps;
     entry.p95_us = p95;
     entry.shed_rate = shed;
+    entry.scl_iterations_per_solve = iterations;
     doc.results.push_back(entry);
     pos = close;
   }
@@ -219,14 +239,16 @@ int main(int argc, char** argv) {
   BenchDoc baseline, fresh;
   if (!parse_doc(paths[0], baseline) || !parse_doc(paths[1], fresh)) return 2;
 
+  bool wall_clock_gated = true;
   if (baseline.hardware_concurrency != fresh.hardware_concurrency) {
     std::printf("bench_compare: hardware_concurrency differs "
                 "(baseline %u, fresh %u) — q/s is not host-comparable\n",
                 baseline.hardware_concurrency, fresh.hardware_concurrency);
     if (require_same_concurrency) {
-      std::printf("bench_compare: gate skipped "
-                  "(--require-same-concurrency)\n");
-      return 0;
+      std::printf("bench_compare: q/s, p95 and shed gates skipped "
+                  "(--require-same-concurrency); the work-count gate "
+                  "still applies\n");
+      wall_clock_gated = false;
     }
   }
 
@@ -241,31 +263,45 @@ int main(int argc, char** argv) {
       continue;
     }
     const double ratio = base.qps > 0.0 ? now->qps / base.qps : 1.0;
-    const bool qps_regressed = ratio < 1.0 - max_regression;
+    const bool qps_regressed =
+        wall_clock_gated && ratio < 1.0 - max_regression;
     // Latency gates only with a baseline to compare against; a fresh
     // p95 of 0 with a nonzero baseline would be an improvement, not a
     // regression, so it passes on its own terms.
     const bool latency_regressed =
-        base.p95_us > 0.0 &&
+        wall_clock_gated && base.p95_us > 0.0 &&
         now->p95_us > base.p95_us * (1.0 + max_latency_regression);
     // The shed gate needs both sides to carry the field; absolute
     // margin because the committed operating point is typically 0.00.
     const bool shed_regressed =
-        base.shed_rate >= 0.0 && now->shed_rate >= 0.0 &&
+        wall_clock_gated && base.shed_rate >= 0.0 && now->shed_rate >= 0.0 &&
         now->shed_rate > base.shed_rate + max_shed_increase;
-    const char* verdict = qps_regressed || latency_regressed || shed_regressed
-                              ? "  REGRESSION"
-                              : "";
-    std::printf("%-32s %12.0f %12.0f %8.2fx %11.1f %11.1f%s%s%s%s\n",
+    const bool has_count = base.scl_iterations_per_solve >= 0.0 &&
+                           now->scl_iterations_per_solve >= 0.0;
+    const bool count_regressed =
+        has_count && now->scl_iterations_per_solve >
+                         base.scl_iterations_per_solve *
+                             (1.0 + kMaxCountRegression);
+    const bool regressed =
+        qps_regressed || latency_regressed || shed_regressed ||
+        count_regressed;
+    std::printf("%-32s %12.0f %12.0f %8.2fx %11.1f %11.1f%s%s%s%s%s\n",
                 base.key.c_str(), base.qps, now->qps, ratio, base.p95_us,
-                now->p95_us, verdict, qps_regressed ? " (q/s)" : "",
+                now->p95_us, regressed ? "  REGRESSION" : "",
+                qps_regressed ? " (q/s)" : "",
                 latency_regressed ? " (p95)" : "",
-                shed_regressed ? " (shed)" : "");
+                shed_regressed ? " (shed)" : "",
+                count_regressed ? " (passes/solve)" : "");
     if (base.shed_rate >= 0.0 && now->shed_rate >= 0.0) {
       std::printf("%-32s %12s %12s %9s shed %.3f -> %.3f\n", "", "", "", "",
                   base.shed_rate, now->shed_rate);
     }
-    if (qps_regressed || latency_regressed || shed_regressed) ++regressions;
+    if (has_count) {
+      std::printf("%-32s %12s %12s %9s passes/solve %.3f -> %.3f\n", "", "",
+                  "", "", base.scl_iterations_per_solve,
+                  now->scl_iterations_per_solve);
+    }
+    if (regressed) ++regressions;
   }
   for (const auto& entry : fresh.results) {
     if (lookup(baseline, entry.key) == nullptr) {
@@ -275,14 +311,16 @@ int main(int argc, char** argv) {
   }
   if (regressions > 0) {
     std::printf("bench_compare: %d label(s) regressed beyond %.0f%% q/s, "
-                "%.0f%% p95 latency, or +%.2f shed rate\n",
+                "%.0f%% p95 latency, +%.2f shed rate, or %.0f%% "
+                "passes/solve\n",
                 regressions, max_regression * 100.0,
-                max_latency_regression * 100.0, max_shed_increase);
+                max_latency_regression * 100.0, max_shed_increase,
+                kMaxCountRegression * 100.0);
     return 1;
   }
   std::printf("bench_compare: no regression beyond %.0f%% q/s / %.0f%% "
-              "p95 latency / +%.2f shed rate\n",
+              "p95 latency / +%.2f shed rate / %.0f%% passes/solve\n",
               max_regression * 100.0, max_latency_regression * 100.0,
-              max_shed_increase);
+              max_shed_increase, kMaxCountRegression * 100.0);
   return 0;
 }
