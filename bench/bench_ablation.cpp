@@ -115,7 +115,8 @@ void ablation_clamp() {
       db.push_back(flip(3));
       for (int i = 0; i < 9; ++i) db.push_back(flip(12));
       engine.store(db);
-      if (engine.search(query).nearest == 0) ++correct;
+      const auto hit = engine.search_hits_at(query, 1, /*ordinal=*/0);
+      if (hit.front().global_row == 0) ++correct;
     }
     t.add_row({clamp ? "on" : "off (ablated)",
                util::TextTable::fmt(expected - sensed, 2) + " units",
@@ -191,7 +192,8 @@ void ablation_margin() {
       db.push_back(at_hd(5));
       for (int i = 0; i < 15; ++i) db.push_back(at_hd(6));
       engine.store(db);
-      if (engine.search(query).nearest == 0) ++correct;
+      const auto hit = engine.search_hits_at(query, 1, /*ordinal=*/0);
+      if (hit.front().global_row == 0) ++correct;
     }
     t.add_row({util::TextTable::fmt(step, 2),
                util::TextTable::fmt(step / 2.0, 2),

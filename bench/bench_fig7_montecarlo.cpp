@@ -62,7 +62,8 @@ double worst_case_accuracy(int d_near, int runs, double sigma_vth) {
       db.push_back(at_hamming_distance(query, d_near + 1, rng));
     }
     engine.store(db);
-    if (engine.search(query).nearest == 0) ++correct;
+    const auto hit = engine.search_hits_at(query, 1, /*ordinal=*/0);
+    if (hit.front().global_row == 0) ++correct;
   }
   return static_cast<double>(correct) / runs;
 }
@@ -126,7 +127,8 @@ int main() {
     for (std::size_t s = 0; s < test_q.rows(); ++s) {
       const auto row = test_q.row(s);
       const std::vector<int> query(row.begin(), row.end());
-      const auto winner = engine.search(query).nearest;
+      const auto winner =
+          engine.search_hits_at(query, 1, /*ordinal=*/s).front().global_row;
       if (ds.train_y[winner] == ds.test_y[s]) ++hits;
     }
     const double hw_acc =

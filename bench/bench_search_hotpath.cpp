@@ -8,7 +8,8 @@
 //   * optimized   — the cached-table flat kernel (CrossbarArray::search);
 //   * intra-par   — the flat kernel with rows fanned across the worker
 //                   pool (equals optimized on 1-core hosts);
-//   * engine      — FerexEngine::search end to end (kernel + LTA + noise);
+//   * engine      — FerexEngine::search_hits_at (k = 1) end to end
+//                   (kernel + LTA + noise);
 // and at nominal fidelity the reference vs. LUT-gather distance kernels.
 // The headline number is the optimized/reference single-query speedup on
 // the default geometry. The three modes that run CrossbarArray::search
@@ -168,9 +169,11 @@ int main(int argc, char** argv) {
     const auto circuit_parallel = measure_counted(
         "circuit_intra_parallel", g, queries, *array,
         [&](const std::vector<int>& q) { (void)array->search(q, true); });
+    std::uint64_t ordinal = 0;
     const auto circuit_engine = measure_counted(
-        "circuit_engine", g, queries, *array,
-        [&](const std::vector<int>& q) { (void)engine.search(q); });
+        "circuit_engine", g, queries, *array, [&](const std::vector<int>& q) {
+          (void)engine.search_hits_at(q, 1, ordinal++);
+        });
     const auto nominal_reference =
         measure("nominal_reference", g, "nominal", queries,
                 [&](const std::vector<int>& q) {

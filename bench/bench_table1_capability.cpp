@@ -37,18 +37,19 @@ int main() {
 
   util::TextTable demo({"metric", "bits", "cell", "levels", "DM realized",
                         "NN of (2,2,2,2)"});
+  std::uint64_t ordinal = 0;
   for (auto metric : {DistanceMetric::kHamming, DistanceMetric::kManhattan,
                       DistanceMetric::kEuclideanSquared}) {
     engine.configure(metric, 2);
     const auto& enc = engine.encoding();
     const std::vector<int> query{2, 2, 2, 2};
-    const auto result = engine.search(query);
+    const auto result = engine.search_hits_at(query, 1, ordinal++).front();
     demo.add_row({csp::to_string(metric), "2",
                   std::to_string(enc.fefets_per_cell()) + "FeFET" +
                       std::to_string(enc.fefets_per_cell()) + "R",
                   std::to_string(enc.ladder_levels()),
                   enc.realizes(engine.distance_matrix()) ? "yes" : "NO",
-                  "row " + std::to_string(result.nearest) + " (d=" +
+                  "row " + std::to_string(result.global_row) + " (d=" +
                       std::to_string(result.nominal_distance) + ")"});
   }
   std::cout << demo;

@@ -53,6 +53,8 @@ int main() {
 
   std::printf("%-18s %-10s %-14s %-12s\n", "metric", "accuracy",
               "energy/query", "delay");
+  // Each query draws comparator noise from its own ordinal's stream.
+  std::uint64_t ordinal = 0;
   for (auto metric : {DistanceMetric::kHamming, DistanceMetric::kManhattan,
                       DistanceMetric::kEuclideanSquared}) {
     const bool binary = metric == DistanceMetric::kHamming;
@@ -63,7 +65,8 @@ int main() {
     std::size_t hits = 0;
     for (std::size_t s = 0; s < ds.test_x.rows(); ++s) {
       const auto query = m.encode_query(ds.test_x.row(s));
-      const auto winner = engine.search(query).nearest;
+      const auto winner =
+          engine.search_hits_at(query, 1, ordinal++).front().global_row;
       if (static_cast<int>(winner) == ds.test_y[s]) ++hits;
     }
     const double acc =

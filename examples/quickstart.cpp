@@ -30,22 +30,23 @@ int main() {
   engine.store(database);
 
   // 3. Search. The LTA flags the row with minimal current = distance.
+  //    The ordinal names the query's comparator-noise stream.
   const std::vector<int> query{1, 1, 1, 1, 2, 1};
-  auto result = engine.search(query);
-  std::printf("Hamming NN of query: row %zu (distance %d)\n", result.nearest,
-              result.nominal_distance);
+  auto result = engine.search_hits_at(query, /*k=*/1, /*ordinal=*/0).front();
+  std::printf("Hamming NN of query: row %zu (distance %d)\n",
+              result.global_row, result.nominal_distance);
 
   // 4. Reconfigure for Manhattan distance — same array, same data.
   engine.configure(DistanceMetric::kManhattan, 2);
-  result = engine.search(query);
+  result = engine.search_hits_at(query, 1, 1).front();
   std::printf("Manhattan NN of query: row %zu (distance %d)\n",
-              result.nearest, result.nominal_distance);
+              result.global_row, result.nominal_distance);
 
   // 5. And Euclidean. k-NN works too.
   engine.configure(DistanceMetric::kEuclideanSquared, 2);
-  const auto top3 = engine.search_k(query, 3);
-  std::printf("Euclidean top-3 rows: %zu %zu %zu\n", top3[0], top3[1],
-              top3[2]);
+  const auto top3 = engine.search_hits_at(query, 3, 2);
+  std::printf("Euclidean top-3 rows: %zu %zu %zu\n", top3[0].global_row,
+              top3[1].global_row, top3[2].global_row);
 
   // 6. Per-search energy/delay from the Fig. 6 model.
   const auto cost = engine.search_cost();

@@ -15,11 +15,11 @@
 
 namespace {
 
-int majority_label(const std::vector<std::size_t>& neighbors,
+int majority_label(const std::vector<ferex::core::Hit>& neighbors,
                    const std::vector<int>& labels) {
   std::map<int, int> votes;
-  for (auto idx : neighbors) ++votes[labels[idx]];
-  int best = labels[neighbors.front()], best_votes = 0;
+  for (const auto& hit : neighbors) ++votes[labels[hit.global_row]];
+  int best = labels[neighbors.front().global_row], best_votes = 0;
   for (const auto& [label, count] : votes) {
     if (count > best_votes) {
       best_votes = count;
@@ -66,6 +66,8 @@ int main() {
   constexpr std::size_t kNeighbors = 5;
 
   std::printf("%-12s %-18s %-18s\n", "metric", "FeReX-KNN acc", "software acc");
+  // Each query draws comparator noise from its own ordinal's stream.
+  std::uint64_t ordinal = 0;
   for (auto metric : {DistanceMetric::kHamming, DistanceMetric::kManhattan,
                       DistanceMetric::kEuclideanSquared}) {
     engine.configure(metric, 2);  // reconfigure in place
@@ -75,7 +77,8 @@ int main() {
     for (std::size_t s = 0; s < test_q.rows(); ++s) {
       const auto row = test_q.row(s);
       const std::vector<int> query(row.begin(), row.end());
-      const auto neighbors = engine.search_k(query, kNeighbors);
+      const auto neighbors =
+          engine.search_hits_at(query, kNeighbors, ordinal++);
       if (majority_label(neighbors, ds.train_y) == ds.test_y[s]) ++hits;
     }
     const double hw_acc =

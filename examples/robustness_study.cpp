@@ -48,7 +48,8 @@ bool trial(double sigma_vth_v, int d_near, std::uint64_t seed) {
   db.push_back(at_distance(d_near));
   for (int i = 0; i < 15; ++i) db.push_back(at_distance(d_near + 1));
   engine.store(db);
-  return engine.search(query).nearest == 0;
+  return engine.search_hits_at(query, 1, /*ordinal=*/0).front().global_row ==
+         0;
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "util/merge_topk.hpp"
@@ -25,13 +24,10 @@ void BankedAm::configure(csp::DistanceMetric metric, int bits) {
 }
 
 std::unique_ptr<core::FerexEngine> BankedAm::make_bank(
-    std::size_t start, std::size_t bank_count) const {
+    std::size_t start) const {
   auto engine_options = options_.engine;
   // Decorrelate device variation across macros.
   engine_options.seed = options_.engine.seed + 0x9e37 * (start + 1);
-  // With several banks this layer owns intra-query parallelism (it
-  // fans banks); per-bank row fan-out on top would nest worker pools.
-  if (bank_count > 1) engine_options.intra_query_min_devices = 0;
   auto bank = std::make_unique<core::FerexEngine>(engine_options);
   bank->configure(metric_, bits_);
   return bank;
@@ -47,22 +43,20 @@ void BankedAm::store(const std::vector<std::vector<int>>& database) {
   banks_.clear();
   bank_offsets_.clear();
   total_rows_ = database.size();
-  const std::size_t bank_count =
-      (database.size() + options_.bank_rows - 1) / options_.bank_rows;
   for (std::size_t start = 0; start < database.size();
        start += options_.bank_rows) {
     const std::size_t end =
         std::min(start + options_.bank_rows, database.size());
     std::vector<std::vector<int>> slice(database.begin() + start,
                                         database.begin() + end);
-    auto bank = make_bank(start, bank_count);
+    auto bank = make_bank(start);
     bank->store(std::move(slice));
     banks_.push_back(std::move(bank));
     bank_offsets_.push_back(start);
   }
 }
 
-BankedInsert BankedAm::insert(std::span<const int> vector) {
+core::WriteReceipt BankedAm::insert(std::span<const int> vector) {
   if (!configured_) {
     throw std::logic_error("BankedAm::insert: configure() first");
   }
@@ -71,20 +65,18 @@ BankedInsert BankedAm::insert(std::span<const int> vector) {
     // first row; the banked database keeps one dimensionality.
     throw std::invalid_argument("BankedAm::insert: vector.size() != dims");
   }
-  BankedInsert receipt;
   // Freed slots are reused before any growth: scan banks in order for a
   // removed slot (the engine picks its lowest) so the physical footprint
   // only grows when every slot is live.
   for (std::size_t b = 0; b < banks_.size(); ++b) {
     if (banks_[b]->live_count() < banks_[b]->stored_count()) {
-      const auto result = banks_[b]->insert(vector);
-      receipt.cost = result.cost;
+      auto receipt = banks_[b]->insert(vector);
+      receipt.global_row = global_index(b, receipt.global_row);
       receipt.bank = b;
-      receipt.global_row = bank_offsets_[b] + result.row;
-      reconcile_intra_query();
       return receipt;
     }
   }
+  core::WriteReceipt receipt;
   const bool need_new_bank =
       banks_.empty() || banks_.back()->stored_count() >= options_.bank_rows;
   if (need_new_bank) {
@@ -92,20 +84,19 @@ BankedInsert BankedAm::insert(std::span<const int> vector) {
     // this is a multiple of bank_rows — the same `start` a fresh store()
     // of the concatenated database would feed the seed formula.
     const std::size_t start = total_rows_;
-    auto bank = make_bank(start, banks_.size() + 1);
-    receipt.cost = bank->insert(vector).cost;  // throws before state change
+    auto bank = make_bank(start);
+    receipt = bank->insert(vector);  // throws before state change
     banks_.push_back(std::move(bank));
     bank_offsets_.push_back(start);
   } else {
-    receipt.cost = banks_.back()->insert(vector).cost;
+    receipt = banks_.back()->insert(vector);
   }
   receipt.bank = banks_.size() - 1;
   receipt.global_row = total_rows_++;
-  reconcile_intra_query();
   return receipt;
 }
 
-BankedWrite BankedAm::remove(std::size_t global_row) {
+core::WriteReceipt BankedAm::remove(std::size_t global_row) {
   if (banks_.empty()) {
     throw std::logic_error("BankedAm::remove: store() first");
   }
@@ -113,16 +104,14 @@ BankedWrite BankedAm::remove(std::size_t global_row) {
     throw std::out_of_range("BankedAm::remove: row");
   }
   const std::size_t b = bank_of(global_row);
-  BankedWrite receipt;
-  receipt.cost = banks_[b]->remove(global_row - bank_offsets_[b]);
+  auto receipt = banks_[b]->remove(global_row - bank_offsets_[b]);
   receipt.bank = b;
   receipt.global_row = global_row;
-  reconcile_intra_query();
   return receipt;
 }
 
-BankedWrite BankedAm::update(std::size_t global_row,
-                             std::span<const int> vector) {
+core::WriteReceipt BankedAm::update(std::size_t global_row,
+                                    std::span<const int> vector) {
   if (banks_.empty()) {
     throw std::logic_error("BankedAm::update: store() first");
   }
@@ -133,17 +122,14 @@ BankedWrite BankedAm::update(std::size_t global_row,
     throw std::invalid_argument("BankedAm::update: vector.size() != dims");
   }
   const std::size_t b = bank_of(global_row);
-  BankedWrite receipt;
-  receipt.cost = banks_[b]->update(global_row - bank_offsets_[b], vector);
+  auto receipt = banks_[b]->update(global_row - bank_offsets_[b], vector);
   receipt.bank = b;
   receipt.global_row = global_row;
-  reconcile_intra_query();  // an update can revive an all-removed bank
   return receipt;
 }
 
 BankedAm::BankedState BankedAm::snapshot_state() const {
   BankedState state;
-  state.query_serial = query_serial_;
   state.bank_offsets = bank_offsets_;
   state.banks.reserve(banks_.size());
   for (const auto& bank : banks_) state.banks.push_back(bank->snapshot_state());
@@ -162,13 +148,11 @@ void BankedAm::restore_state(BankedState state) {
   bank_offsets_ = std::move(state.bank_offsets);
   total_rows_ = 0;
   for (std::size_t b = 0; b < state.banks.size(); ++b) {
-    auto bank = make_bank(bank_offsets_[b], state.banks.size());
+    auto bank = make_bank(bank_offsets_[b]);
     total_rows_ += state.banks[b].database.size();
     bank->restore_state(std::move(state.banks[b]));
     banks_.push_back(std::move(bank));
   }
-  query_serial_ = state.query_serial;
-  reconcile_intra_query();
 }
 
 std::size_t BankedAm::compact() {
@@ -208,20 +192,6 @@ std::size_t BankedAm::live_bank_count() const noexcept {
   return live;
 }
 
-void BankedAm::reconcile_intra_query() {
-  // A bank may fan its own rows exactly when it is effectively the only
-  // bank searching — otherwise this layer fans banks and row fan-out
-  // underneath would nest pools. make_bank applies the same rule by
-  // physical bank count at creation; live counts refine it as rows die
-  // and revive.
-  const std::size_t intra = live_bank_count() > 1
-                                ? 0
-                                : options_.engine.intra_query_min_devices;
-  for (auto& bank : banks_) {
-    bank->options().intra_query_min_devices = intra;
-  }
-}
-
 std::size_t BankedAm::global_index(std::size_t bank, std::size_t local) const {
   return bank_offsets_[bank] + local;
 }
@@ -247,68 +217,21 @@ bool BankedAm::parallel_banks_worthwhile() const noexcept {
   return devices >= threshold;
 }
 
-BankedSearchResult BankedAm::search_ordinal(std::span<const int> query,
-                                            std::uint64_t ordinal,
-                                            bool parallel_banks,
-                                            bool in_query_pool) const {
-  // Stage 1: every bank's local LTA resolves its winner in parallel.
-  // Each bank draws its comparator noise from its own seed at this query
-  // ordinal, so banks stay decorrelated and the result is independent of
-  // execution order — fanning the banks across the pool is bit-identical
-  // to the serial sweep.
-  std::vector<core::SearchResult> bank_results(banks_.size());
-  // Banks whose rows are all removed stop firing: they run no search,
-  // draw no comparator noise, and are masked out of the global stage.
-  std::vector<std::uint8_t> bank_live(banks_.size());
-  std::size_t live_banks = 0;
-  for (std::size_t b = 0; b < banks_.size(); ++b) {
-    bank_live[b] = banks_[b]->live_count() > 0 ? 1 : 0;
-    live_banks += bank_live[b];
-  }
-  // Inside a query fan-out, force the banks' row loops serial so pools
-  // never nest; otherwise the engines keep their own heuristic (multi-
-  // bank engines have row fan-out disabled at store(), single-bank ones
-  // may still fan their rows).
-  const std::optional<bool> bank_parallel_rows =
-      in_query_pool ? std::optional<bool>(false) : std::nullopt;
-  const auto run_bank = [&](std::size_t b) {
-    if (bank_live[b] == 0) return;
-    bank_results[b] = banks_[b]->search_at(query, ordinal, bank_parallel_rows);
-  };
-  if (parallel_banks && banks_.size() > 1) {
+void BankedAm::for_each_bank(
+    const std::function<void(std::size_t)>& fn) const {
+  if (parallel_banks_worthwhile()) {
     // Affine schedule: bank b lands on the same pool participant on
     // every query, so each bank's cached bias/current tables stay warm
     // in one thread's caches across a serving stream.
-    util::parallel_for_affine(banks_.size(), run_bank);
+    util::parallel_for_affine(banks_.size(), fn);
   } else {
-    for (std::size_t b = 0; b < banks_.size(); ++b) run_bank(b);
+    for (std::size_t b = 0; b < banks_.size(); ++b) fn(b);
   }
-  // Stage 2: the deterministic two-best merge over the bank winners
-  // (shared with serve::ShardedIndex, which applies the same rule across
-  // shards). A noiseless comparator over the already-sensed winners is
-  // bit-identical to the global LTA stage with no rng attached.
-  std::vector<util::GroupWinner> winners(banks_.size());
-  for (std::size_t b = 0; b < banks_.size(); ++b) {
-    winners[b].live = bank_live[b] != 0;
-    winners[b].sensed = winners[b].live
-                            ? bank_results[b].winner_current_a
-                            : std::numeric_limits<double>::infinity();
-    winners[b].margin_a = bank_results[b].margin_a;
-  }
-  const auto decision = util::merge_topk(winners);
-  const auto& winner = bank_results[decision.group];
-  BankedSearchResult out;
-  out.bank = decision.group;
-  out.nearest = global_index(decision.group, winner.nearest);
-  out.winner_current_a = decision.sensed;
-  out.margin_a = decision.margin_a;
-  out.nominal_distance = winner.nominal_distance;
-  return out;
 }
 
 void BankedAm::check_query(std::span<const int> query) const {
-  // Reject before any ordinal is consumed, so a bad query cannot shift
-  // the per-bank noise-stream sequence (see search_ordinal).
+  // Reject before the caller assigns an ordinal, so a bad query cannot
+  // shift the per-bank noise-stream sequence.
   if (query.size() != banks_.front()->dims()) {
     throw std::invalid_argument("BankedAm: query.size() != dims");
   }
@@ -320,132 +243,68 @@ void BankedAm::check_query(std::span<const int> query) const {
   }
 }
 
-BankedSearchResult BankedAm::search(std::span<const int> query) {
+std::vector<core::Hit> BankedAm::search_hits_at(std::span<const int> query,
+                                                std::size_t k,
+                                                std::uint64_t ordinal) const {
   if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search: store() first");
+    throw std::logic_error("BankedAm::search_hits_at: store() first");
   }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search: no live rows");
+  const std::size_t live = live_count();
+  if (live == 0) {
+    throw std::logic_error("BankedAm::search_hits_at: no live rows");
+  }
+  if (k == 0 || k > live) {
+    throw std::invalid_argument("BankedAm::search_hits_at: bad k");
   }
   check_query(query);
-  return search_ordinal(query, query_serial_++, parallel_banks_worthwhile(),
-                        /*in_query_pool=*/false);
+  if (k == 1) return {search_two_stage(query, ordinal)};
+  return search_masked(query, k);
 }
 
-BankedSearchResult BankedAm::search_at(
-    std::span<const int> query, std::uint64_t ordinal,
-    std::optional<bool> parallel_banks) const {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_at: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search_at: no live rows");
-  }
-  check_query(query);
-  return search_ordinal(query, ordinal,
-                        parallel_banks.value_or(parallel_banks_worthwhile()),
-                        /*in_query_pool=*/false);
-}
-
-bool BankedAm::inner_fan_for_batch(std::size_t batch_size) const noexcept {
-  // Small batches cannot saturate the pool across queries alone; run
-  // them serially and fan each query's banks (or, single-bank, its
-  // rows) instead — but only when the inner fan-out is at least as wide
-  // as the query fan-out it replaces, else fanning queries wins. Either
-  // schedule yields bit-identical results.
-  if (batch_size == 0 || batch_size >= util::pool_width()) return false;
-  const bool inner_fan_wider =
-      banks_.size() > 1 ? banks_.size() >= batch_size
-                        : banks_.front()->intra_query_parallel();
-  return inner_fan_wider &&
-         (banks_.size() == 1 || parallel_banks_worthwhile());
-}
-
-std::vector<BankedSearchResult> BankedAm::search_batch(
-    std::span<const std::vector<int>> queries) {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_batch: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search_batch: no live rows");
-  }
-  for (const auto& q : queries) check_query(q);
-  const std::uint64_t base = query_serial_;
-  query_serial_ += queries.size();
-  return search_batch_validated(queries, base);
-}
-
-std::vector<BankedSearchResult> BankedAm::search_batch_at(
-    std::span<const std::vector<int>> queries,
-    std::uint64_t base_ordinal) const {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_batch_at: store() first");
-  }
-  if (live_count() == 0) {
-    throw std::logic_error("BankedAm::search_batch_at: no live rows");
-  }
-  for (const auto& q : queries) check_query(q);
-  return search_batch_validated(queries, base_ordinal);
-}
-
-std::vector<BankedSearchResult> BankedAm::search_batch_validated(
-    std::span<const std::vector<int>> queries,
-    std::uint64_t base_ordinal) const {
-  std::vector<BankedSearchResult> results(queries.size());
-  if (queries.empty()) return results;
-  if (inner_fan_for_batch(queries.size())) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      results[i] = search_ordinal(queries[i], base_ordinal + i,
-                                  /*parallel_banks=*/banks_.size() > 1,
-                                  /*in_query_pool=*/false);
-    }
-    return results;
-  }
-  util::parallel_for(queries.size(), [&](std::size_t i) {
-    results[i] = search_ordinal(queries[i], base_ordinal + i,
-                                /*parallel_banks=*/false,
-                                /*in_query_pool=*/true);
+core::Hit BankedAm::search_two_stage(std::span<const int> query,
+                                     std::uint64_t ordinal) const {
+  // Stage 1: every bank's local LTA resolves its winner in parallel.
+  // Each bank draws its comparator noise from its own seed at this query
+  // ordinal, so banks stay decorrelated and the result is independent of
+  // execution order — fanning the banks across the pool is bit-identical
+  // to the serial sweep.
+  std::vector<core::Hit> bank_results(banks_.size());
+  // Banks whose rows are all removed stop firing: they run no search,
+  // draw no comparator noise, and are masked out of the global stage.
+  for_each_bank([&](std::size_t b) {
+    if (banks_[b]->live_count() == 0) return;
+    bank_results[b] = banks_[b]->search_hits_at(query, 1, ordinal).front();
   });
-  return results;
+  // Stage 2: the deterministic two-best merge over the bank winners
+  // (shared with serve::ShardedIndex, which applies the same rule across
+  // shards). A noiseless comparator over the already-sensed winners is
+  // bit-identical to the global LTA stage with no rng attached.
+  std::vector<util::GroupWinner> winners(banks_.size());
+  for (std::size_t b = 0; b < banks_.size(); ++b) {
+    winners[b].live = banks_[b]->live_count() > 0;
+    winners[b].sensed = winners[b].live
+                            ? bank_results[b].sensed_current_a
+                            : std::numeric_limits<double>::infinity();
+    winners[b].margin_a = bank_results[b].margin_a;
+  }
+  const auto decision = util::merge_topk(winners);
+  core::Hit hit = bank_results[decision.group];
+  hit.bank = decision.group;
+  hit.global_row = global_index(decision.group, hit.global_row);
+  hit.sensed_current_a = decision.sensed;
+  hit.margin_a = decision.margin_a;
+  return hit;
 }
 
-std::vector<std::size_t> BankedAm::search_k(std::span<const int> query,
-                                            std::size_t k) {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_k: store() first");
-  }
-  const auto hits = search_k_hits(query, k);
-  std::vector<std::size_t> winners;
-  winners.reserve(hits.size());
-  for (const auto& hit : hits) winners.push_back(hit.nearest);
-  return winners;
-}
-
-std::vector<BankedSearchResult> BankedAm::search_k_hits(
-    std::span<const int> query, std::size_t k,
-    std::optional<bool> parallel_banks) const {
-  if (banks_.empty()) {
-    throw std::logic_error("BankedAm::search_k_hits: store() first");
-  }
-  if (k == 0 || k > live_count()) {
-    throw std::invalid_argument("BankedAm::search_k: bad k");
-  }
-  check_query(query);
+std::vector<core::Hit> BankedAm::search_masked(std::span<const int> query,
+                                               std::size_t k) const {
   // Each bank holds its sensed row currents (the post-decoder can mask
   // individual row branches); the global stage iteratively extracts the
   // minimum across the concatenated currents. Banks fire concurrently,
-  // as in search().
+  // as in the two-stage path.
   std::vector<std::vector<double>> per_bank(banks_.size());
-  const auto run_bank = [&](std::size_t b) {
-    per_bank[b] = banks_[b]->row_currents(query);
-  };
-  if (parallel_banks.value_or(parallel_banks_worthwhile()) &&
-      banks_.size() > 1) {
-    // Same bank -> participant affinity as the single-NN path.
-    util::parallel_for_affine(banks_.size(), run_bank);
-  } else {
-    for (std::size_t b = 0; b < banks_.size(); ++b) run_bank(b);
-  }
+  for_each_bank(
+      [&](std::size_t b) { per_bank[b] = banks_[b]->row_currents(query); });
   std::vector<double> all;
   std::vector<std::uint8_t> live;
   all.reserve(total_rows_);
@@ -460,19 +319,33 @@ std::vector<BankedSearchResult> BankedAm::search_k_hits(
   // store() of only the live rows.
   const auto decisions = global_lta_.decide_k_detailed(
       all, banks_.front()->sense_unit(), k, nullptr, live);
-  std::vector<BankedSearchResult> hits;
+  std::vector<core::Hit> hits;
   hits.reserve(decisions.size());
   for (const auto& decision : decisions) {
-    BankedSearchResult hit;
-    hit.nearest = decision.winner;
+    core::Hit hit;
+    hit.global_row = decision.winner;
     hit.bank = bank_of(decision.winner);
-    hit.winner_current_a = decision.winner_current_a;
+    hit.sensed_current_a = decision.winner_current_a;
     hit.margin_a = decision.margin_a;
     hit.nominal_distance = banks_[hit.bank]->nominal_distance(
         query, decision.winner - bank_offsets_[hit.bank]);
     hits.push_back(hit);
   }
   return hits;
+}
+
+bool BankedAm::inner_fan_for_batch(std::size_t batch_size) const noexcept {
+  // Small batches cannot saturate the pool across queries alone; run
+  // them serially and fan each query's banks (or, single-bank, its
+  // rows) instead — but only when the inner fan-out is at least as wide
+  // as the query fan-out it replaces, else fanning queries wins. Either
+  // schedule yields bit-identical results.
+  if (batch_size == 0 || batch_size >= util::pool_width()) return false;
+  const bool inner_fan_wider =
+      banks_.size() > 1 ? banks_.size() >= batch_size
+                        : banks_.front()->intra_query_parallel();
+  return inner_fan_wider &&
+         (banks_.size() == 1 || parallel_banks_worthwhile());
 }
 
 void BankedAm::validate_query(std::span<const int> query) const {

@@ -13,13 +13,13 @@
 //
 // Banks share the search-line drivers, so delay is one bank search plus
 // the global-LTA stage; energy is the sum over banks plus the global
-// stage. k-NN is served by iterative masking at the global level.
+// stage. k-NN (k > 1) is served by iterative masking at the global level.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -32,30 +32,6 @@ struct BankedOptions {
   std::size_t bank_rows = 128;      ///< max stored vectors per macro
   core::FerexOptions engine{};      ///< per-macro configuration
 };
-
-/// Result of a banked search — field parity with core::SearchResult plus
-/// the bank coordinate, so single-macro and banked hits interchange.
-struct BankedSearchResult {
-  std::size_t nearest = 0;          ///< global row index
-  std::size_t bank = 0;             ///< bank holding the winner
-  double winner_current_a = 0.0;    ///< winner's sensed current
-  /// Sensed gap at the global comparison stage: with several banks, the
-  /// distance between the two best bank winners; with one bank, that
-  /// bank's own margin (the global stage over a single input is an
-  /// identity). For k-NN hits, the gap to the best remaining row.
-  double margin_a = 0.0;
-  int nominal_distance = 0;         ///< encoding-level distance of winner
-};
-
-/// Receipt for one write-path operation (insert / remove / update).
-struct BankedWrite {
-  std::size_t global_row = 0;       ///< the row written (or erased)
-  std::size_t bank = 0;             ///< bank holding it
-  circuit::WriteCost cost{};        ///< write cost of the operation
-};
-
-/// Historical name for the insert receipt.
-using BankedInsert = BankedWrite;
 
 /// A database of vectors partitioned across FeReX macros.
 class BankedAm {
@@ -80,7 +56,7 @@ class BankedAm {
   /// the same physical layout. Returns where the row landed and its
   /// write cost. Throws without mutating on a wrong-length or
   /// out-of-alphabet vector.
-  BankedInsert insert(std::span<const int> vector);
+  core::WriteReceipt insert(std::span<const int> vector);
 
   /// Deletes one row by global index: routes to the owning bank's
   /// engine, which erases the slot and masks it in the post-decoder (it
@@ -88,12 +64,13 @@ class BankedAm {
   /// stops firing entirely). The freed slot is the first insert()
   /// reuses. Returns the erase cost. Throws std::out_of_range on a bad
   /// index, std::logic_error when the row is already removed.
-  BankedWrite remove(std::size_t global_row);
+  core::WriteReceipt remove(std::size_t global_row);
 
   /// Overwrites one row in place by global index (erase + program-and-
   /// verify on a live slot, program-only on a removed one, which becomes
   /// live again). Validates before mutating.
-  BankedWrite update(std::size_t global_row, std::span<const int> vector);
+  core::WriteReceipt update(std::size_t global_row,
+                            std::span<const int> vector);
 
   std::size_t bank_count() const noexcept { return banks_.size(); }
 
@@ -124,70 +101,44 @@ class BankedAm {
     return banks_.empty() ? 0 : banks_.front()->dims();
   }
 
-  /// Global nearest-neighbor search (all banks in parallel + global LTA).
-  /// When the work-size heuristic allows (multiple banks and hardware
-  /// threads, circuit fidelity, total devices across banks reaching the
-  /// engine's intra_query_min_devices), the banks fan across the worker
-  /// pool — the hardware fires all macros at once, and a single query
-  /// should too. Results are bit-identical to the serial sweep (per-bank
-  /// noise is ordinal-addressed).
-  /// A thin shim over the const ordinal-addressed core (search_at) that
-  /// consumes one ordinal; mutates only query_serial_.
-  BankedSearchResult search(std::span<const int> query);
+  /// The one search: the top-k live rows nearest first, with global
+  /// rows and the bank holding each. Const and ordinal-addressed like
+  /// FerexEngine::search_hits_at; throws std::logic_error before any
+  /// stored row or when nothing is live, std::invalid_argument unless
+  /// 1 <= k <= live_count(). Two hardware paths:
+  ///   * k = 1 is the two-stage search: every live bank's LTA resolves
+  ///     its winner (each bank drawing comparator noise from its own
+  ///     seed at this ordinal), then a global comparator over the bank
+  ///     winners picks the overall nearest; the margin is the gap
+  ///     between the two best bank winners.
+  ///   * k > 1 masks iteratively over the concatenated row currents of
+  ///     every bank — no per-bank LTA decisions, hence no noise draws,
+  ///     so the result does not depend on the ordinal.
+  /// When the work-size heuristic allows (multiple live banks and
+  /// hardware threads, circuit fidelity, total devices across banks
+  /// reaching the engine's intra_query_min_devices) the banks fan across
+  /// the worker pool — the hardware fires all macros at once, and a
+  /// single query should too. The schedule never affects results.
+  std::vector<core::Hit> search_hits_at(std::span<const int> query,
+                                        std::size_t k,
+                                        std::uint64_t ordinal) const;
 
-  /// Const ordinal-addressed core of search (the engine's search_at
-  /// pattern): the ordinal selects every bank's comparator-noise stream,
-  /// so callers scheduling their own concurrency stay deterministic.
-  /// Does not consume the ordinal counter. `parallel_banks` overrides
-  /// the bank fan-out heuristic (callers already inside a worker pool
-  /// pass false); nullopt applies the work-size gate. The schedule never
-  /// affects results.
-  BankedSearchResult search_at(std::span<const int> query,
-                               std::uint64_t ordinal,
-                               std::optional<bool> parallel_banks =
-                                   std::nullopt) const;
+  /// k = 1 shorthand for search_hits_at.
+  core::Hit search_at(std::span<const int> query,
+                      std::uint64_t ordinal) const {
+    return search_hits_at(query, 1, ordinal).front();
+  }
 
-  /// Batched global search: queries fan across a worker pool sized by
-  /// std::thread::hardware_concurrency(), each worker driving all banks
-  /// for its query. Results are bit-identical to calling search() once
-  /// per query in order (per-bank comparator noise is addressed by query
-  /// ordinal, not execution order). Empty batch returns an empty vector.
-  /// Invalid queries — wrong length or out-of-alphabet values — are
-  /// rejected up front, before any ordinal is consumed.
-  std::vector<BankedSearchResult> search_batch(
-      std::span<const std::vector<int>> queries);
-
-  /// Const ordinal-addressed core of search_batch: queries take ordinals
-  /// base_ordinal, base_ordinal + 1, ... Does not consume the ordinal
-  /// counter; results are bit-identical to search_at per query.
-  std::vector<BankedSearchResult> search_batch_at(
-      std::span<const std::vector<int>> queries,
-      std::uint64_t base_ordinal) const;
-
-  /// Global k-nearest (nearest first). A shim over search_k_hits.
-  std::vector<std::size_t> search_k(std::span<const int> query, std::size_t k);
-
-  /// The k-NN serving core: top-k rows nearest first with full hit
-  /// detail (sensed current, margin to the best remaining row, nominal
-  /// distance). Const; unlike the two-stage single-NN path this one is
-  /// deterministic — every bank exposes its raw row currents and the
-  /// global post-decoder masks iteratively, with no per-bank LTA
-  /// decisions and hence no comparator-noise draws — so it takes no
-  /// ordinal. The winner sequence is bit-identical to search_k.
-  std::vector<BankedSearchResult> search_k_hits(
-      std::span<const int> query, std::size_t k,
-      std::optional<bool> parallel_banks = std::nullopt) const;
-
-  /// Validates a query exactly as every search entry point does: throws
+  /// Validates a query exactly as search_hits_at does: throws
   /// std::invalid_argument on wrong length, std::out_of_range on
   /// out-of-alphabet values, std::logic_error before any stored row.
-  /// Exposed so serving layers can reject requests before consuming any
+  /// Exposed so serving layers can reject requests before assigning a
   /// query ordinal.
   void validate_query(std::span<const int> query) const;
 
   /// True when a batch of `batch_size` queries is better served by
   /// running queries serially and fanning each query's banks (or, single
-  /// bank, its rows) — the scheduling rule search_batch applies. Never
+  /// bank, its rows) — the scheduling rule AmIndex batches apply. Never
   /// affects results.
   bool inner_fan_for_batch(std::size_t batch_size) const noexcept;
 
@@ -198,11 +149,10 @@ class BankedAm {
   /// Energy of one banked search: all banks fire.
   double search_energy_j() const;
 
-  /// Complete mutable state for a durable snapshot: the banked ordinal
-  /// counter plus every bank engine's state and its global offset. The
-  /// byte format lives in serve/snapshot.
+  /// Complete mutable state for a durable snapshot: every bank engine's
+  /// state and its global offset. The byte format lives in
+  /// serve/snapshot.
   struct BankedState {
-    std::uint64_t query_serial = 0;
     std::vector<std::size_t> bank_offsets;
     std::vector<core::FerexEngine::EngineState> banks;
   };
@@ -220,8 +170,8 @@ class BankedAm {
 
   /// Tombstone compaction: re-packs the live rows densely via store(),
   /// which rebuilds every bank as a fresh engine — bit-identical to
-  /// configure()+store() of the survivors on a fresh BankedAm. The
-  /// banked ordinal counter is kept. Returns the slots reclaimed.
+  /// configure()+store() of the survivors on a fresh BankedAm. Returns
+  /// the slots reclaimed.
   std::size_t compact();
 
  private:
@@ -231,9 +181,8 @@ class BankedAm {
   /// A configured, empty engine for the bank whose first global row is
   /// `start`, with the per-bank seed decorrelation formula store() and
   /// insert() share (bit-identity of the two population paths depends on
-  /// both using exactly this). `bank_count` is the count after adding it.
-  std::unique_ptr<core::FerexEngine> make_bank(std::size_t start,
-                                               std::size_t bank_count) const;
+  /// both using exactly this).
+  std::unique_ptr<core::FerexEngine> make_bank(std::size_t start) const;
   void check_query(std::span<const int> query) const;
   /// Work-size gate for fanning banks across the pool: multiple banks
   /// holding live rows, multiple hardware threads, circuit fidelity, and
@@ -242,26 +191,18 @@ class BankedAm {
   /// its rows, so tiny banked configs never pay thread-spawn costs that
   /// dwarf the solve work.
   bool parallel_banks_worthwhile() const noexcept;
-  /// Re-derives every bank engine's intra-query parallelism setting from
-  /// the live bank count: with more than one live bank this layer fans
-  /// banks (row fan-out would nest pools, so it is disabled); back down
-  /// at one live bank the engines regain the configured row heuristic.
-  /// Scheduling only — results are schedule-invariant.
-  void reconcile_intra_query();
-  /// `in_query_pool` marks calls made from inside a parallel_for over
-  /// queries: bank row loops are then forced serial so pools never nest.
-  /// Outside a pool the per-bank engines keep their own row heuristic.
-  BankedSearchResult search_ordinal(std::span<const int> query,
-                                    std::uint64_t ordinal,
-                                    bool parallel_banks,
-                                    bool in_query_pool) const;
-  /// Post-validation batch core shared by search_batch / search_batch_at.
-  std::vector<BankedSearchResult> search_batch_validated(
-      std::span<const std::vector<int>> queries,
-      std::uint64_t base_ordinal) const;
+  /// Runs fn(b) for every bank, fanned across the pool when
+  /// parallel_banks_worthwhile() (bank b always lands on the same pool
+  /// participant), else in order.
+  void for_each_bank(const std::function<void(std::size_t)>& fn) const;
+  /// The k = 1 two-stage path of search_hits_at (validated query).
+  core::Hit search_two_stage(std::span<const int> query,
+                             std::uint64_t ordinal) const;
+  /// The k > 1 masked-concatenation path of search_hits_at.
+  std::vector<core::Hit> search_masked(std::span<const int> query,
+                                       std::size_t k) const;
 
   BankedOptions options_;
-  std::uint64_t query_serial_ = 0;
   csp::DistanceMetric metric_ = csp::DistanceMetric::kHamming;
   int bits_ = 0;
   bool configured_ = false;

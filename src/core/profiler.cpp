@@ -128,10 +128,10 @@ LatencyReservoir::Summary LatencyReservoir::summarize() const {
   return summary;
 }
 
-SearchProfile profile_searches(FerexEngine& engine,
+SearchProfile profile_searches(const FerexEngine& engine,
                                std::span<const std::vector<int>> queries,
                                std::size_t histogram_bins) {
-  if (!engine.configured() || engine.stored_count() == 0) {
+  if (!engine.configured() || engine.live_count() == 0) {
     throw std::logic_error("profile_searches: engine not ready");
   }
   if (histogram_bins == 0) {
@@ -147,7 +147,7 @@ SearchProfile profile_searches(FerexEngine& engine,
     const auto currents = engine.row_currents(query);
     const double unit = engine.sense_unit();
 
-    // Sensed winner and margin.
+    // Sensed winner and margin (removed rows sense +infinity).
     std::size_t winner = 0;
     double best = std::numeric_limits<double>::infinity();
     double second = best;
@@ -160,7 +160,7 @@ SearchProfile profile_searches(FerexEngine& engine,
         second = currents[r];
       }
     }
-    if (currents.size() > 1) {
+    if (engine.live_count() > 1) {
       profile.margin_units.add((second - best) / unit);
     }
 
@@ -168,9 +168,11 @@ SearchProfile profile_searches(FerexEngine& engine,
     const int nominal = engine.software_distance(query, winner);
     profile.winner_error_units.add(best / unit - nominal);
 
-    // Does the sensed winner achieve the global software minimum?
+    // Does the sensed winner achieve the software minimum over the live
+    // rows?
     int min_distance = std::numeric_limits<int>::max();
     for (std::size_t r = 0; r < engine.stored_count(); ++r) {
+      if (!engine.row_live(r)) continue;
       min_distance = std::min(min_distance, engine.software_distance(query, r));
     }
     if (nominal == min_distance) ++agreements;

@@ -120,9 +120,11 @@ struct SearchProfile {
 };
 
 /// Replays `queries` against the engine and aggregates search-quality
-/// statistics. The engine must be configured and loaded; queries are
-/// evaluated at the engine's configured fidelity.
-SearchProfile profile_searches(FerexEngine& engine,
+/// statistics over its live rows (removed slots never win and never
+/// count toward the software minimum). The engine must be configured
+/// and hold at least one live row (std::logic_error otherwise); queries
+/// are evaluated at the engine's configured fidelity.
+SearchProfile profile_searches(const FerexEngine& engine,
                                std::span<const std::vector<int>> queries,
                                std::size_t histogram_bins = 32);
 

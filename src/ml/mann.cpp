@@ -53,6 +53,9 @@ FewShotResult evaluate_few_shot(core::FerexEngine& engine,
     throw std::logic_error("evaluate_few_shot: engine not configured");
   }
   util::Rng rng(seed);
+  // Comparator-noise stream ids, one per query across every episode of
+  // this call (a fresh call replays the same streams).
+  std::uint64_t ordinal = 0;
   FewShotResult result;
   result.episodes = episodes;
   std::size_t hits = 0;
@@ -69,15 +72,14 @@ FewShotResult evaluate_few_shot(core::FerexEngine& engine,
 
     for (std::size_t q = 0; q < ep.query_x.rows(); ++q) {
       const auto query = quantizer.quantize(ep.query_x.row(q));
-      int predicted;
-      if (spec.shots == 1) {
-        predicted = ep.support_y[engine.search(query).nearest];
-      } else {
-        // Vote over the k = shots nearest supports.
-        const auto neighbors = engine.search_k(query, spec.shots);
+      // One nearest support for 1-shot; otherwise a vote over the
+      // k = shots nearest supports.
+      const auto neighbors =
+          engine.search_hits_at(query, spec.shots, ordinal++);
+      int predicted = ep.support_y[neighbors.front().global_row];
+      if (spec.shots > 1) {
         std::map<int, std::size_t> votes;
-        for (auto idx : neighbors) ++votes[ep.support_y[idx]];
-        predicted = ep.support_y[neighbors.front()];
+        for (const auto& hit : neighbors) ++votes[ep.support_y[hit.global_row]];
         std::size_t best = 0;
         for (const auto& [label, count] : votes) {
           if (count > best) {

@@ -1,10 +1,12 @@
 // The AmIndex serving API — one front door for every FeReX backend.
 //
 // The paper's headline is a single engine serving many metrics and
-// workloads on the same hardware, but the lower layers expose two front
-// doors with different result types: core::FerexEngine (one macro,
-// SearchResult) and arch::BankedAm (multi-macro, BankedSearchResult).
-// AmIndex unifies them behind a request/response surface:
+// workloads on the same hardware. Each backend — core::FerexEngine (one
+// macro) and arch::BankedAm (multi-macro) — keeps exactly one search,
+// the const ordinal-addressed search_hits_at(query, k, ordinal), and
+// returns the one hit type core::Hit and the one receipt
+// core::WriteReceipt (re-exported here as serve::Hit / WriteReceipt).
+// AmIndex puts a request/response surface over them:
 //
 //   serve::BankedIndex index(options);          // or EngineIndex
 //   index.configure(csp::DistanceMetric::kHamming, 2);
@@ -16,14 +18,13 @@
 //   index.insert(vec);                          // streaming write path
 //
 // Guarantees:
-//   * Hits are bit-identical to the legacy entry points: k = 1 equals
-//     FerexEngine::search / BankedAm::search, the k-NN winner sequence
-//     equals search_k, at both fidelities, single-shot and batched (the
-//     legacy methods are now thin shims over the same const cores).
-//   * Every request consumes exactly one ordinal from the index's query
-//     serial — the per-query comparator-noise stream id — unless the
-//     request pins one explicitly or the const search_at entry point is
-//     used, so responses never depend on thread interleaving.
+//   * Ordinal accounting and request batching live here and nowhere
+//     else: every request consumes exactly one ordinal from the index's
+//     query serial — the per-query comparator-noise stream id — unless
+//     the request pins one or the const search_at entry point is used.
+//     A request served at ordinal n is bit-identical to the backend's
+//     search_hits_at(query, k, n), single-shot or batched, so responses
+//     never depend on thread interleaving.
 //   * insert() appends to the live array(s) (program_row on a grown
 //     bank, new banks on demand — reusing slots freed by remove()
 //     first) and charges circuit::WriteCost; after N inserts, searches
@@ -47,7 +48,7 @@
 #include <string>
 #include <vector>
 
-#include "circuit/write.hpp"
+#include "core/hit.hpp"
 #include "csp/distance_matrix.hpp"
 #include "serve/reject.hpp"
 #include "util/thread_annotations.hpp"
@@ -120,14 +121,8 @@ struct SearchRequest {
         submit(submit_in) {}
 };
 
-/// One scored row of a response.
-struct Hit {
-  std::size_t global_row = 0;     ///< row index across all banks
-  std::size_t bank = 0;           ///< bank holding the row (0 on a macro)
-  double sensed_current_a = 0.0;  ///< sensed current (distance domain)
-  double margin_a = 0.0;          ///< sensed gap to the best remaining row
-  int nominal_distance = 0;       ///< encoding-level distance to the query
-};
+using core::Hit;
+using core::WriteReceipt;
 
 /// Hits nearest first; never empty (k >= 1 is validated up front).
 struct SearchResponse {
@@ -135,24 +130,11 @@ struct SearchResponse {
   const Hit& best() const noexcept { return hits.front(); }
 };
 
-/// Receipt for one write-path operation (insert / remove / update).
-struct WriteReceipt {
-  std::size_t global_row = 0;  ///< the row written (or erased)
-  std::size_t bank = 0;        ///< bank holding it
-  circuit::WriteCost cost{};   ///< write cost of the operation
-};
-
-/// Historical name for the insert receipt.
-using InsertReceipt = WriteReceipt;
-
 /// Polymorphic serving interface over interchangeable FeReX backends.
 ///
 /// The non-virtual entry points own request validation (before any
 /// ordinal is consumed), ordinal accounting, and batch scheduling;
-/// backends supply the const search core and the write path. The index
-/// keeps its own query serial: drive a fresh index with the same request
-/// sequence as a fresh legacy backend and the ordinals — hence the
-/// responses — line up one to one.
+/// backends supply the const search core and the write path.
 class AmIndex {
  public:
   virtual ~AmIndex() = default;
@@ -199,14 +181,15 @@ class AmIndex {
   std::vector<SearchResponse> search_batch(
       std::span<const SearchRequest> requests);
 
-  /// Const ordinal-addressed core (the engine's search_at pattern): serves
-  /// the request at an explicit ordinal, consuming nothing — the entry
-  /// point for callers scheduling their own concurrency and for driving
-  /// the index from const contexts. Any request.ordinal is ignored in
-  /// favor of the argument. Guarded while an AsyncAmIndex owns the
-  /// index: its queued writes mutate the backend, so even const reads
-  /// outside the wrapper's serialization would race them — route the
-  /// read through AsyncAmIndex::submit with a pinned ordinal instead.
+  /// Const ordinal-addressed core (the backends' search_hits_at
+  /// pattern): serves the request at an explicit ordinal, consuming
+  /// nothing — the entry point for callers scheduling their own
+  /// concurrency and for driving the index from const contexts. Any
+  /// request.ordinal is ignored in favor of the argument. Guarded while
+  /// an AsyncAmIndex owns the index: its queued writes mutate the
+  /// backend, so even const reads outside the wrapper's serialization
+  /// would race them — route the read through AsyncAmIndex::submit with
+  /// a pinned ordinal instead.
   SearchResponse search_at(const SearchRequest& request,
                            std::uint64_t ordinal) const;
 
@@ -276,15 +259,14 @@ class AmIndex {
   /// on return the caller holds the (phantom) mutation capability.
   void check_mutable(const char* op) const
       ASSERT_CAPABILITY(mutation_serialization_);
-  /// Serves one validated request. `in_query_pool` marks calls issued
-  /// from inside a parallel_for over requests: backends must then keep
-  /// their inner loops serial so pools never nest. Never affects results.
+  /// Serves one validated request at `ordinal` — the backend's
+  /// search_hits_at.
   virtual SearchResponse search_core(std::span<const int> query,
-                                     std::size_t k, std::uint64_t ordinal,
-                                     bool in_query_pool) const = 0;
+                                     std::size_t k,
+                                     std::uint64_t ordinal) const = 0;
 
   /// Backend query validation (length/alphabet/configured+stored), same
-  /// exceptions as the legacy entry points.
+  /// exceptions as the backend's search_hits_at.
   virtual void validate_backend_query(std::span<const int> query) const = 0;
 
   /// Backend scheduling rule: true when a batch of this size is better

@@ -2,14 +2,11 @@
 //
 // The scale-out deployment: rows partition across bank_rows-sized macros,
 // one search fires every bank, streaming inserts grow fresh banks on
-// demand. Hit semantics follow the hardware:
-//   * k = 1 runs the two-stage path (per-bank LTA + global comparator);
-//     the hit's margin is the sensed gap between the two best bank
-//     winners — exactly BankedAm::search;
-//   * k > 1 runs the post-decoder masking path over the concatenated row
-//     currents (deterministic: no per-bank LTA decisions, so no
-//     comparator-noise draws) — winner sequence exactly BankedAm::
-//     search_k.
+// demand. Hits are exactly BankedAm::search_hits_at, which follows the
+// hardware: k = 1 runs the two-stage path (per-bank LTA + global
+// comparator, margin = gap between the two best bank winners); k > 1
+// runs the post-decoder masking path over the concatenated row currents
+// (no per-bank LTA decisions, so no comparator-noise draws).
 #pragma once
 
 #include "arch/banked_am.hpp"
@@ -39,8 +36,7 @@ class BankedIndex final : public AmIndex {
   WriteReceipt do_update(std::size_t global_row,
                          std::span<const int> vector) override;
   SearchResponse search_core(std::span<const int> query, std::size_t k,
-                             std::uint64_t ordinal,
-                             bool in_query_pool) const override;
+                             std::uint64_t ordinal) const override;
   void validate_backend_query(std::span<const int> query) const override;
   bool inner_fan_for_batch(std::size_t batch_size) const override;
 

@@ -16,16 +16,11 @@ namespace {
 
 /// Per-shard engine options: seed salted per shard (shard 0 keeps the
 /// base seed, so a 1-shard fleet is bit-identical to the unsharded
-/// index), and — with several engine shards — per-shard row fan-out
-/// disabled because this layer owns the cross-shard fan (the same rule
-/// BankedAm applies to its banks; scheduling never affects results).
+/// index).
 core::FerexOptions shard_engine_options(const ShardedOptions& options,
                                         std::size_t shard) {
   auto engine_options = options.engine;
   engine_options.seed = ShardedIndex::shard_seed(options, shard);
-  if (options.backend == ShardBackend::kEngine && options.shards > 1) {
-    engine_options.intra_query_min_devices = 0;
-  }
   return engine_options;
 }
 
@@ -231,8 +226,7 @@ double ShardedIndex::merge_key(const Hit& hit) const noexcept {
 
 std::vector<SearchResponse> ShardedIndex::scatter(std::span<const int> query,
                                                   std::size_t k,
-                                                  std::uint64_t ordinal,
-                                                  bool in_query_pool) const {
+                                                  std::uint64_t ordinal) const {
   std::vector<SearchResponse> parts(shards_.size());
   std::size_t live_shards = 0;
   for (const auto& shard : shards_) {
@@ -256,7 +250,7 @@ std::vector<SearchResponse> ShardedIndex::scatter(std::span<const int> query,
     sub.k = (k == 1 || live_shards == 1) ? k : std::min(k + 1, live);
     parts[s] = shards_[s]->search_at(sub, ordinal);
   };
-  if (!in_query_pool && live_shards > 1 && util::pool_width() > 1) {
+  if (live_shards > 1) {
     // Affine schedule: shard s lands on the same pool participant on
     // every query, keeping its cached bias/current tables warm in one
     // thread's caches across a serving stream.
@@ -365,9 +359,9 @@ SearchResponse ShardedIndex::merge_shard_responses(
 }
 
 SearchResponse ShardedIndex::search_core(std::span<const int> query,
-                                         std::size_t k, std::uint64_t ordinal,
-                                         bool in_query_pool) const {
-  const auto parts = scatter(query, k, ordinal, in_query_pool);
+                                         std::size_t k,
+                                         std::uint64_t ordinal) const {
+  const auto parts = scatter(query, k, ordinal);
   return merge_shard_responses(parts, k);
 }
 

@@ -171,8 +171,7 @@ class ShardedIndex final : public AmIndex {
   WriteReceipt do_update(std::size_t global_row,
                          std::span<const int> vector) override;
   SearchResponse search_core(std::span<const int> query, std::size_t k,
-                             std::uint64_t ordinal,
-                             bool in_query_pool) const override;
+                             std::uint64_t ordinal) const override;
   void validate_backend_query(std::span<const int> query) const override;
   bool inner_fan_for_batch(std::size_t batch_size) const override;
 
@@ -189,8 +188,8 @@ class ShardedIndex final : public AmIndex {
   /// (min(k + 1, shard live) so a losing candidate for the margin
   /// always survives the merge unless the fleet is exhausted).
   std::vector<SearchResponse> scatter(std::span<const int> query,
-                                      std::size_t k, std::uint64_t ordinal,
-                                      bool in_query_pool) const;
+                                      std::size_t k,
+                                      std::uint64_t ordinal) const;
 
   /// The gather half, shared verbatim by the sync path and the async
   /// ticket: k-way merge of per-shard responses with global rows,

@@ -2,8 +2,8 @@
 //
 // A snapshot captures everything a warm restart needs for bit-identical
 // serving: the stored database, the live (tombstone) mask, the
-// per-device fabrication arrays (Vth offsets, resistances), the engine
-// and serving ordinal counters, the variation-RNG stream position, and
+// per-device fabrication arrays (Vth offsets, resistances), the serving
+// ordinal counter, the variation-RNG stream position, and
 // the WAL watermark (last applied sequence number). Restoring it into a
 // freshly constructed index with the same options reproduces currents
 // and hits bit for bit — including the variation draws of every
@@ -11,7 +11,7 @@
 //
 // On-disk layout (little-endian):
 //
-//   magic "FEREXSNP" | u32 version | u32 crc(payload) | u64 payload size
+//   magic "FEREXSNP" | u32 version (2) | u32 crc(payload) | u64 payload size
 //   payload: u8 backend kind, u8 fidelity, u8 composite, u32 metric,
 //            u32 bits, u64 wal watermark, u64 serving query serial,
 //            backend state (engine: geometry + database + live mask +

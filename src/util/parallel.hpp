@@ -18,10 +18,13 @@
 //
 // Scheduling rules the implementation adds:
 //   * a parallel_for issued from inside a pool worker (nesting) runs its
-//     items inline on that worker — pools never nest, callers that used
-//     to force inner loops serial to avoid nested spawns still can, but
-//     an accidental nested call degrades to serial instead of deadlocking
-//     or oversubscribing;
+//     items inline on that worker. This is the one place the codebase
+//     decides pool nesting: every layer fans its own items whenever its
+//     work-size heuristic says so — AmIndex a batch's requests,
+//     ShardedIndex its shards, BankedAm its banks, FerexEngine one
+//     query's rows — the outermost fan gets the pool and every fan
+//     nested under it runs as a plain serial loop. No caller passes
+//     "already inside the pool" flags down;
 //   * when another thread's parallel_for currently owns the pool, the
 //     call runs inline on the caller instead of queueing behind it.
 // Neither rule affects results: every caller in this codebase is

@@ -117,7 +117,7 @@ class GatedIndex final : public AmIndex {
     return receipt;
   }
   SearchResponse search_core(std::span<const int>, std::size_t k,
-                             std::uint64_t ordinal, bool) const override {
+                             std::uint64_t ordinal) const override {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       ++entered_;

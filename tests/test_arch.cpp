@@ -50,16 +50,16 @@ TEST(BankedAmT, SearchAgreesWithSingleMacro) {
   single.store(db);
 
   util::Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
     std::vector<int> query(10);
     for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
-    const auto banked_result = banked.search(query);
-    const auto single_result = single.search(query);
+    const auto banked_result = banked.search_at(query, trial);
+    const auto single_result = single.search_hits_at(query, 1, trial).front();
     // Winning distances must agree (indices can differ on ties).
     EXPECT_EQ(ml::vector_distance(DistanceMetric::kManhattan, query,
-                                  db[banked_result.nearest]),
+                                  db[banked_result.global_row]),
               ml::vector_distance(DistanceMetric::kManhattan, query,
-                                  db[single_result.nearest]));
+                                  db[single_result.global_row]));
   }
 }
 
@@ -76,11 +76,12 @@ TEST(BankedAmT, SearchKMatchesSoftwareRanks) {
   util::Rng rng(5);
   std::vector<int> query(8);
   for (auto& v : query) v = static_cast<int>(rng.uniform_below(4));
-  const auto hw = am.search_k(query, 5);
+  const auto hw = am.search_hits_at(query, 5, 0);
   const auto sw = ml::knn_indices(DistanceMetric::kHamming, db_matrix, query, 5);
   ASSERT_EQ(hw.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(ml::vector_distance(DistanceMetric::kHamming, query, db[hw[i]]),
+    EXPECT_EQ(ml::vector_distance(DistanceMetric::kHamming, query,
+                                  db[hw[i].global_row]),
               ml::vector_distance(DistanceMetric::kHamming, query, db[sw[i]]));
   }
 }
@@ -113,13 +114,15 @@ TEST(BankedAmT, WorksWithCompositeEncodingAcrossBanks) {
 TEST(BankedAmT, LifecycleGuards) {
   BankedAm am(exact_banked(4));
   const std::vector<int> q{0};
-  EXPECT_THROW(am.search(q), std::logic_error);
+  EXPECT_THROW(am.search_at(q, 0), std::logic_error);
   EXPECT_THROW(am.store({{0}}), std::logic_error);  // configure first
   am.configure(DistanceMetric::kHamming, 1);
   EXPECT_THROW(am.store({}), std::invalid_argument);
   am.store({{0, 1}, {1, 0}, {1, 1}});
-  EXPECT_THROW(am.search_k(std::vector<int>{0, 1}, 0), std::invalid_argument);
-  EXPECT_THROW(am.search_k(std::vector<int>{0, 1}, 9), std::invalid_argument);
+  EXPECT_THROW(am.search_hits_at(std::vector<int>{0, 1}, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(am.search_hits_at(std::vector<int>{0, 1}, 9, 0),
+               std::invalid_argument);
   EXPECT_THROW(BankedAm(BankedOptions{.bank_rows = 0}),
                std::invalid_argument);
 }

@@ -1,269 +1,245 @@
-// Tests for the batched multi-threaded search path: FerexEngine::
-// search_batch and BankedAm::search_batch must be bit-identical to the
-// sequential APIs across metrics, fidelities, and encoding paths.
+// Tests for batched serving. Request batching and ordinal accounting
+// live only in serve::AmIndex, so a batch must be bit-identical to the
+// same requests served one at a time — across backends, metrics,
+// fidelities, k, and the composite codec — and every malformed request
+// must be rejected before any ordinal is consumed.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "arch/banked_am.hpp"
-#include "core/ferex.hpp"
 #include "data/datasets.hpp"
+#include "serve/banked_index.hpp"
+#include "serve/engine_index.hpp"
 #include "util/parallel.hpp"
 
-namespace ferex::core {
+namespace ferex::serve {
 namespace {
 
+using core::SearchFidelity;
 using csp::DistanceMetric;
 
-
-void expect_identical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);  // bit-exact
-  EXPECT_EQ(a.margin_a, b.margin_a);
-  EXPECT_EQ(a.nominal_distance, b.nominal_distance);
-}
-
-class BatchIdenticalT
-    : public ::testing::TestWithParam<std::tuple<DistanceMetric,
-                                                 SearchFidelity>> {};
-
-TEST_P(BatchIdenticalT, BatchMatchesSequentialBitExactly) {
-  const auto [metric, fidelity] = GetParam();
-  FerexOptions opt;
-  opt.fidelity = fidelity;
-
-  const auto db = data::random_int_vectors(24, 8, 4, 11);
-  const auto queries = data::random_int_vectors(17, 8, 4, 12);
-
-  FerexEngine batched(opt);
-  batched.configure(metric, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-
-  FerexEngine sequential(opt);
-  sequential.configure(metric, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(batch[i], sequential.search(queries[i]));
+void expect_identical(const SearchResponse& a, const SearchResponse& b) {
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (std::size_t i = 0; i < a.hits.size(); ++i) {
+    EXPECT_EQ(a.hits[i].global_row, b.hits[i].global_row);
+    EXPECT_EQ(a.hits[i].bank, b.hits[i].bank);
+    EXPECT_EQ(a.hits[i].sensed_current_a, b.hits[i].sensed_current_a);
+    EXPECT_EQ(a.hits[i].margin_a, b.hits[i].margin_a);
+    EXPECT_EQ(a.hits[i].nominal_distance, b.hits[i].nominal_distance);
   }
 }
 
+enum class Backend { kEngine, kBanked };
+
+/// A configured, stored index of either backend (banked: 7-row banks).
+std::unique_ptr<AmIndex> make_index(Backend backend, DistanceMetric metric,
+                                    SearchFidelity fidelity,
+                                    const std::vector<std::vector<int>>& db) {
+  std::unique_ptr<AmIndex> index;
+  if (backend == Backend::kEngine) {
+    core::FerexOptions opt;
+    opt.fidelity = fidelity;
+    index = std::make_unique<EngineIndex>(opt);
+  } else {
+    arch::BankedOptions opt;
+    opt.bank_rows = 7;
+    opt.engine.fidelity = fidelity;
+    index = std::make_unique<BankedIndex>(opt);
+  }
+  index->configure(metric, 2);
+  index->store(db);
+  return index;
+}
+
+/// Requests over `queries` with k cycling through {1, 3, 2}.
+std::vector<SearchRequest> mixed_k_requests(
+    const std::vector<std::vector<int>>& queries) {
+  std::vector<SearchRequest> requests;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    requests.emplace_back(queries[i], std::size_t{1} + (i * 2) % 3);
+  }
+  return requests;
+}
+
+class BatchIdenticalT
+    : public ::testing::TestWithParam<
+          std::tuple<Backend, DistanceMetric, SearchFidelity>> {};
+
+TEST_P(BatchIdenticalT, BatchMatchesOneAtATimeBitExactly) {
+  const auto [backend, metric, fidelity] = GetParam();
+  const auto db = data::random_int_vectors(24, 8, 4, 11);
+  const auto requests =
+      mixed_k_requests(data::random_int_vectors(17, 8, 4, 12));
+
+  const auto batched = make_index(backend, metric, fidelity, db);
+  const auto batch = batched->search_batch(requests);
+  ASSERT_EQ(batch.size(), requests.size());
+  EXPECT_EQ(batched->query_serial(), requests.size());
+
+  const auto sequential = make_index(backend, metric, fidelity, db);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_identical(batch[i], sequential->search(requests[i]));
+  }
+  EXPECT_EQ(sequential->query_serial(), requests.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    MetricsAndFidelities, BatchIdenticalT,
-    ::testing::Combine(::testing::Values(DistanceMetric::kHamming,
+    BackendsMetricsAndFidelities, BatchIdenticalT,
+    ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked),
+                       ::testing::Values(DistanceMetric::kHamming,
                                          DistanceMetric::kManhattan,
                                          DistanceMetric::kEuclideanSquared),
                        ::testing::Values(SearchFidelity::kCircuit,
                                          SearchFidelity::kNominal)));
 
-TEST(SearchBatchT, CompositeEncodingMatchesSequential) {
-  FerexOptions opt;
+TEST(SearchBatchT, CompositeEncodingMatchesOneAtATime) {
   const auto db = data::random_int_vectors(16, 6, 16, 21);
-  const auto queries = data::random_int_vectors(9, 6, 16, 22);
+  const auto requests =
+      mixed_k_requests(data::random_int_vectors(9, 6, 16, 22));
 
-  FerexEngine batched(opt);
+  EngineIndex batched;
   batched.configure_composite(DistanceMetric::kHamming, 4);
   batched.store(db);
-  const auto batch = batched.search_batch(queries);
+  const auto batch = batched.search_batch(requests);
 
-  FerexEngine sequential(opt);
+  EngineIndex sequential;
   sequential.configure_composite(DistanceMetric::kHamming, 4);
   sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(batch[i], sequential.search(queries[i]));
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_identical(batch[i], sequential.search(requests[i]));
   }
 }
 
-TEST(SearchBatchT, EmptyBatchReturnsEmpty) {
-  FerexEngine engine;
-  engine.configure(DistanceMetric::kHamming, 2);
-  engine.store(data::random_int_vectors(4, 4, 4, 31));
-  const auto before = engine.query_serial();
-  EXPECT_TRUE(engine.search_batch({}).empty());
-  EXPECT_EQ(engine.query_serial(), before);  // consumed no ordinals
+TEST(SearchBatchT, BatchServesEachRequestAtItsOrdinal) {
+  // Unpinned requests take consecutive serials, pinned ones keep their
+  // own ordinal and consume nothing; each response equals the const core
+  // at that ordinal.
+  const auto db = data::random_int_vectors(20, 6, 4, 61);
+  const auto queries = data::random_int_vectors(5, 6, 4, 62);
+  EngineIndex index;
+  index.configure(DistanceMetric::kHamming, 2);
+  index.store(db);
+  (void)index.search(SearchRequest(queries[0]));  // serial 0
+
+  std::vector<SearchRequest> requests;
+  requests.emplace_back(queries[1], 3);                    // serial 1
+  requests.emplace_back(queries[2], 1, std::uint64_t{40});  // pinned
+  requests.emplace_back(queries[3], 2);                    // serial 2
+  requests.emplace_back(queries[4], 1);                    // serial 3
+  const auto batch = index.search_batch(requests);
+  EXPECT_EQ(index.query_serial(), 4u);
+
+  const std::uint64_t ordinals[] = {1, 40, 2, 3};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_identical(batch[i], index.search_at(requests[i], ordinals[i]));
+  }
 }
 
-TEST(SearchBatchT, SingleElementBatchMatchesSearch) {
-  const auto db = data::random_int_vectors(12, 5, 4, 41);
-  const std::vector<std::vector<int>> queries = {db[7]};
-
-  FerexEngine batched;
-  batched.configure(DistanceMetric::kManhattan, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-  ASSERT_EQ(batch.size(), 1u);
-
-  FerexEngine sequential;
-  sequential.configure(DistanceMetric::kManhattan, 2);
-  sequential.store(db);
-  expect_identical(batch[0], sequential.search(queries[0]));
-  EXPECT_EQ(batch[0].nominal_distance, 0);
+TEST(SearchBatchT, RepeatedBatchesAreDeterministicAcrossIndexes) {
+  const auto db = data::random_int_vectors(18, 7, 4, 71);
+  const auto requests =
+      mixed_k_requests(data::random_int_vectors(32, 7, 4, 72));
+  std::vector<std::vector<SearchResponse>> runs;
+  for (int run = 0; run < 2; ++run) {
+    EngineIndex index;
+    index.configure(DistanceMetric::kManhattan, 2);
+    index.store(db);
+    runs.push_back(index.search_batch(requests));
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_identical(runs[0][i], runs[1][i]);
+  }
 }
 
-TEST(SearchBatchT, ThrowsBeforeConfigureAndStore) {
-  FerexEngine engine;
-  const std::vector<std::vector<int>> queries = {{0, 1}};
-  EXPECT_THROW(engine.search_batch(queries), std::logic_error);
-  EXPECT_THROW((void)engine.search_batch({}), std::logic_error);
-}
+// ------------------------------------------------------- validation --
 
-TEST(SearchBatchT, RejectsWrongQueryLength) {
-  FerexEngine engine;
-  engine.configure(DistanceMetric::kHamming, 2);
-  engine.store(data::random_int_vectors(6, 4, 4, 51));
-  const std::vector<std::vector<int>> queries = {{0, 1, 2}};  // dims is 4
-  const auto before = engine.query_serial();
-  EXPECT_THROW(engine.search_batch(queries), std::invalid_argument);
-  EXPECT_THROW(engine.search(queries[0]), std::invalid_argument);
-  EXPECT_THROW(engine.search_k(queries[0], 1), std::invalid_argument);
-  // Rejected queries never consume noise-stream ordinals.
-  EXPECT_EQ(engine.query_serial(), before);
-}
+class BatchValidationT : public ::testing::TestWithParam<Backend> {};
 
-TEST(SearchBatchT, RejectsOutOfRangeValuesAtBothFidelities) {
+TEST_P(BatchValidationT, RejectsMalformedRequestsWithoutConsumingOrdinals) {
   for (const auto fidelity :
        {SearchFidelity::kCircuit, SearchFidelity::kNominal}) {
-    FerexOptions opt;
-    opt.fidelity = fidelity;
-    FerexEngine engine(opt);
-    engine.configure(DistanceMetric::kHamming, 2);
-    engine.store(data::random_int_vectors(6, 4, 4, 53));
-    const std::vector<std::vector<int>> queries = {{0, 1, 2, 7}};  // 7 > 3
-    const auto before = engine.query_serial();
-    EXPECT_THROW(engine.search_batch(queries), std::out_of_range);
-    EXPECT_THROW(engine.search(queries[0]), std::out_of_range);
-    EXPECT_THROW(engine.search(std::vector<int>{0, 1, 2, -1}),
-                 std::out_of_range);
-    // Rejected queries never consume noise-stream ordinals.
-    EXPECT_EQ(engine.query_serial(), before);
+    const auto db = data::random_int_vectors(6, 4, 4, 51);
+    const auto index =
+        make_index(GetParam(), DistanceMetric::kHamming, fidelity, db);
+    const std::vector<int> good{0, 1, 2, 3};
+    const std::vector<int> short_query{0, 1, 2};   // dims is 4
+    const std::vector<int> too_big{0, 1, 2, 7};    // 7 > 3
+    const std::vector<int> negative{0, 1, 2, -1};
+
+    EXPECT_THROW(index->search(SearchRequest(short_query)),
+                 std::invalid_argument);
+    EXPECT_THROW(index->search(SearchRequest(too_big)), std::out_of_range);
+    EXPECT_THROW(index->search(SearchRequest(negative)), std::out_of_range);
+    EXPECT_THROW(index->search(SearchRequest(good, 0)),
+                 std::invalid_argument);
+    EXPECT_THROW(index->search(SearchRequest(good, db.size() + 1)),
+                 std::invalid_argument);
+    // One bad request rejects the whole batch up front.
+    std::vector<SearchRequest> batch;
+    batch.emplace_back(good);
+    batch.emplace_back(too_big);
+    EXPECT_THROW(index->search_batch(batch), std::out_of_range);
+    batch.back() = SearchRequest(short_query);
+    EXPECT_THROW(index->search_batch(batch), std::invalid_argument);
+    batch.back() = SearchRequest(good, 0);
+    EXPECT_THROW(index->search_batch(batch), std::invalid_argument);
+    // An empty batch is a no-op.
+    EXPECT_TRUE(index->search_batch({}).empty());
+    // Rejected requests never consume noise-stream ordinals...
+    EXPECT_EQ(index->query_serial(), 0u);
+    // ...so the next accepted search equals a fresh index's first one.
+    const auto fresh =
+        make_index(GetParam(), DistanceMetric::kHamming, fidelity, db);
+    expect_identical(index->search(SearchRequest(good, 2)),
+                     fresh->search(SearchRequest(good, 2)));
   }
 }
 
+TEST_P(BatchValidationT, RejectsEveryRequestBeforeStore) {
+  std::unique_ptr<AmIndex> index;
+  if (GetParam() == Backend::kEngine) {
+    index = std::make_unique<EngineIndex>();
+  } else {
+    index = std::make_unique<BankedIndex>();
+  }
+  std::vector<SearchRequest> batch;
+  batch.emplace_back(std::vector<int>{0, 1});
+  EXPECT_THROW(index->search_batch(batch), EmptyIndex);
+  index->configure(DistanceMetric::kHamming, 2);
+  EXPECT_THROW(index->search(batch.front()), EmptyIndex);
+  EXPECT_TRUE(index->search_batch({}).empty());
+  EXPECT_EQ(index->query_serial(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BatchValidationT,
+                         ::testing::Values(Backend::kEngine,
+                                           Backend::kBanked));
+
 TEST(SearchBatchT, RejectsOutOfRangeValuesUnderCodec) {
-  FerexEngine engine;
-  engine.configure_composite(DistanceMetric::kHamming, 4);
-  engine.store(data::random_int_vectors(6, 4, 16, 54));
-  const std::vector<std::vector<int>> queries = {{0, 1, 2, 16}};  // 16 > 15
-  const auto before = engine.query_serial();
-  EXPECT_THROW(engine.search_batch(queries), std::out_of_range);
-  EXPECT_THROW(engine.search(queries[0]), std::out_of_range);
-  EXPECT_EQ(engine.query_serial(), before);
+  EngineIndex index;
+  index.configure_composite(DistanceMetric::kHamming, 4);
+  index.store(data::random_int_vectors(6, 4, 16, 54));
+  std::vector<SearchRequest> batch;
+  batch.emplace_back(std::vector<int>{0, 1, 2, 16});  // 16 > 15
+  EXPECT_THROW(index.search_batch(batch), std::out_of_range);
+  EXPECT_THROW(index.search(batch.front()), std::out_of_range);
+  EXPECT_EQ(index.query_serial(), 0u);
 }
 
 TEST(SearchBatchT, RejectsWrongQueryLengthUnderCodecAtNominalFidelity) {
   // Regression: the codec expands element-wise with no length check, and
   // the nominal path used to read past the end of a short expanded query.
-  FerexOptions opt;
+  core::FerexOptions opt;
   opt.fidelity = SearchFidelity::kNominal;
-  FerexEngine engine(opt);
-  engine.configure_composite(DistanceMetric::kHamming, 4);
-  engine.store(data::random_int_vectors(6, 4, 16, 52));
-  const std::vector<std::vector<int>> queries = {{0, 1, 2}};  // dims is 4
-  EXPECT_THROW(engine.search_batch(queries), std::invalid_argument);
-  EXPECT_THROW(engine.search(queries[0]), std::invalid_argument);
-}
-
-TEST(SearchBatchT, SearchKAgreesWithBatchWinners) {
-  // search_k consumes the same per-query noise stream as search, so the
-  // first of k results at matching ordinals equals the batch winner.
-  const auto db = data::random_int_vectors(20, 6, 4, 61);
-  const auto queries = data::random_int_vectors(8, 6, 4, 62);
-
-  FerexEngine batched;
-  batched.configure(DistanceMetric::kHamming, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-
-  FerexEngine sequential;
-  sequential.configure(DistanceMetric::kHamming, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto top3 = sequential.search_k(queries[i], 3);
-    ASSERT_EQ(top3.size(), 3u);
-    EXPECT_EQ(top3.front(), batch[i].nearest);
-  }
-}
-
-TEST(SearchBatchT, RepeatedBatchesAreDeterministicAcrossEngines) {
-  const auto db = data::random_int_vectors(18, 7, 4, 71);
-  const auto queries = data::random_int_vectors(32, 7, 4, 72);
-  std::vector<std::vector<SearchResult>> runs;
-  for (int run = 0; run < 2; ++run) {
-    FerexEngine engine;
-    engine.configure(DistanceMetric::kManhattan, 2);
-    engine.store(db);
-    runs.push_back(engine.search_batch(queries));
-  }
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(runs[0][i], runs[1][i]);
-  }
-}
-
-TEST(SearchBatchT, OrdinalsAdvanceAcrossMixedCalls) {
-  // A batch consumes one ordinal per query, so batch-then-search equals
-  // search-then-search at the same positions.
-  const auto db = data::random_int_vectors(10, 5, 4, 81);
-  const auto queries = data::random_int_vectors(5, 5, 4, 82);
-
-  FerexEngine mixed;
-  mixed.configure(DistanceMetric::kHamming, 2);
-  mixed.store(db);
-  const auto batch = mixed.search_batch(queries);
-  const auto after = mixed.search(queries[0]);
-
-  FerexEngine sequential;
-  sequential.configure(DistanceMetric::kHamming, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(batch[i], sequential.search(queries[i]));
-  }
-  expect_identical(after, sequential.search(queries[0]));
-}
-
-TEST(BankedBatchT, BatchMatchesSequentialBitExactly) {
-  arch::BankedOptions opt;
-  opt.bank_rows = 6;
-  const auto db = data::random_int_vectors(20, 6, 4, 91);
-  const auto queries = data::random_int_vectors(13, 6, 4, 92);
-
-  arch::BankedAm batched(opt);
-  batched.configure(DistanceMetric::kHamming, 2);
-  batched.store(db);
-  const auto batch = batched.search_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-
-  arch::BankedAm sequential(opt);
-  sequential.configure(DistanceMetric::kHamming, 2);
-  sequential.store(db);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto ref = sequential.search(queries[i]);
-    EXPECT_EQ(batch[i].nearest, ref.nearest);
-    EXPECT_EQ(batch[i].bank, ref.bank);
-    EXPECT_EQ(batch[i].winner_current_a, ref.winner_current_a);
-  }
-}
-
-TEST(BankedBatchT, EmptyBatchAndErrors) {
-  arch::BankedAm am;
-  EXPECT_THROW((void)am.search_batch({}), std::logic_error);
-  am.configure(DistanceMetric::kHamming, 2);
-  am.store(data::random_int_vectors(8, 4, 4, 95));
-  EXPECT_TRUE(am.search_batch({}).empty());
-  // A wrong-length query is rejected before any ordinal is consumed, so
-  // the noise-stream sequence is unaffected by the failed call.
-  const std::vector<std::vector<int>> bad = {{0, 1}};
-  EXPECT_THROW(am.search_batch(bad), std::invalid_argument);
-  EXPECT_THROW(am.search(bad[0]), std::invalid_argument);
-  const auto good = data::random_int_vectors(3, 4, 4, 96);
-  arch::BankedAm reference;
-  reference.configure(DistanceMetric::kHamming, 2);
-  reference.store(data::random_int_vectors(8, 4, 4, 95));
-  for (const auto& q : good) {
-    EXPECT_EQ(am.search(q).winner_current_a,
-              reference.search(q).winner_current_a);
-  }
+  EngineIndex index(opt);
+  index.configure_composite(DistanceMetric::kHamming, 4);
+  index.store(data::random_int_vectors(6, 4, 16, 52));
+  std::vector<SearchRequest> batch;
+  batch.emplace_back(std::vector<int>{0, 1, 2});  // dims is 4
+  EXPECT_THROW(index.search_batch(batch), std::invalid_argument);
+  EXPECT_THROW(index.search(batch.front()), std::invalid_argument);
 }
 
 TEST(ParallelForT, CoversAllIndicesAndPropagatesExceptions) {
@@ -280,4 +256,4 @@ TEST(ParallelForT, CoversAllIndicesAndPropagatesExceptions) {
 }
 
 }  // namespace
-}  // namespace ferex::core
+}  // namespace ferex::serve

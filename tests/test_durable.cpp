@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -365,6 +366,20 @@ TEST(SnapshotFuzzT, EveryByteFlipAndTruncationIsTypedNeverSilent) {
     SCOPED_TRACE("truncated to " + std::to_string(len));
     EXPECT_THROW(serve::install_snapshot(*target, cut),
                  encode::CorruptSnapshot);
+  }
+
+  // A version-1 envelope (whose payload still carried per-backend query
+  // serials) is rejected by name rather than misparsed.
+  auto version_1 = valid;
+  const std::uint8_t v1_le[4] = {1, 0, 0, 0};
+  std::copy(std::begin(v1_le), std::end(v1_le), version_1.begin() + 8);
+  auto target = make_empty(Backend::kEngine, SearchFidelity::kCircuit);
+  try {
+    serve::install_snapshot(*target, version_1);
+    FAIL() << "a version-1 snapshot must be rejected";
+  } catch (const encode::CorruptSnapshot& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version 1"),
+              std::string::npos);
   }
 }
 

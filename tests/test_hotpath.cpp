@@ -15,6 +15,8 @@
 #include "core/profiler.hpp"
 #include "data/datasets.hpp"
 #include "encode/encoder.hpp"
+#include "serve/banked_index.hpp"
+#include "serve/engine_index.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -137,29 +139,32 @@ TEST(HotPathEngine, IntraQueryParallelSearchIsDeterministic) {
        {core::SearchFidelity::kCircuit, core::SearchFidelity::kNominal}) {
     // `1` forces the row fan-out for every query (when >1 hw thread);
     // `0` disables it. Results must not depend on the schedule.
-    core::FerexEngine serial(engine_options(fidelity, 0));
-    core::FerexEngine fanned(engine_options(fidelity, 1));
-    for (auto* engine : {&serial, &fanned}) {
-      engine->configure(DistanceMetric::kManhattan, 2);
-      engine->store(db);
+    serve::EngineIndex serial(engine_options(fidelity, 0));
+    serve::EngineIndex fanned(engine_options(fidelity, 1));
+    for (auto* index : {&serial, &fanned}) {
+      index->configure(DistanceMetric::kManhattan, 2);
+      index->store(db);
     }
-    for (const auto& q : queries) {
-      const auto a = serial.search(q);
-      const auto b = fanned.search(q);
-      EXPECT_EQ(a.nearest, b.nearest);
-      EXPECT_EQ(a.winner_current_a, b.winner_current_a);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const auto a = serial.engine().search_hits_at(queries[i], 1, i).front();
+      const auto b = fanned.engine().search_hits_at(queries[i], 1, i).front();
+      EXPECT_EQ(a.global_row, b.global_row);
+      EXPECT_EQ(a.sensed_current_a, b.sensed_current_a);
       EXPECT_EQ(a.margin_a, b.margin_a);
       EXPECT_EQ(a.nominal_distance, b.nominal_distance);
     }
     // Small batch (< pool width on multicore hosts): exercises the
     // serial-queries + fanned-rows schedule against the fanned-queries
     // one.
-    const auto batch_a = serial.search_batch(queries);
-    const auto batch_b = fanned.search_batch(queries);
+    std::vector<serve::SearchRequest> requests;
+    for (const auto& q : queries) requests.emplace_back(q);
+    const auto batch_a = serial.search_batch(requests);
+    const auto batch_b = fanned.search_batch(requests);
     ASSERT_EQ(batch_a.size(), batch_b.size());
     for (std::size_t i = 0; i < batch_a.size(); ++i) {
-      EXPECT_EQ(batch_a[i].nearest, batch_b[i].nearest);
-      EXPECT_EQ(batch_a[i].winner_current_a, batch_b[i].winner_current_a);
+      EXPECT_EQ(batch_a[i].best().global_row, batch_b[i].best().global_row);
+      EXPECT_EQ(batch_a[i].best().sensed_current_a,
+                batch_b[i].best().sensed_current_a);
     }
   }
 }
@@ -187,7 +192,7 @@ TEST(HotPathEngine, BankedSearchUnaffectedByBankFanOut) {
   const auto queries = data::random_int_vectors(9, 12, 4, 29);
   arch::BankedOptions options;
   options.bank_rows = 8;  // 5 banks
-  arch::BankedAm banked(options);
+  serve::BankedIndex banked(options);
   banked.configure(DistanceMetric::kHamming, 2);
   banked.store(db);
   arch::BankedAm sequential(options);
@@ -196,13 +201,15 @@ TEST(HotPathEngine, BankedSearchUnaffectedByBankFanOut) {
 
   // Batch (fans queries or banks depending on pool width) vs one-by-one
   // single search (fans banks): must agree bit for bit.
-  const auto batch = banked.search_batch(queries);
+  std::vector<serve::SearchRequest> requests;
+  for (const auto& q : queries) requests.emplace_back(q);
+  const auto batch = banked.search_batch(requests);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto single = sequential.search(queries[i]);
-    EXPECT_EQ(batch[i].nearest, single.nearest);
-    EXPECT_EQ(batch[i].bank, single.bank);
-    EXPECT_EQ(batch[i].winner_current_a, single.winner_current_a);
+    const auto single = sequential.search_at(queries[i], i);
+    EXPECT_EQ(batch[i].best().global_row, single.global_row);
+    EXPECT_EQ(batch[i].best().bank, single.bank);
+    EXPECT_EQ(batch[i].best().sensed_current_a, single.sensed_current_a);
   }
 }
 
@@ -216,7 +223,9 @@ TEST(SclSolveCounters, EverySolveIsAccounted) {
   array->reset_scl_solve_stats();
 
   const auto queries = data::random_int_vectors(5, dims, 4, 37);
-  for (const auto& q : queries) (void)engine.search(q);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    (void)engine.search_hits_at(queries[i], 1, i);
+  }
   const auto stats = array->scl_solve_stats();
   EXPECT_EQ(stats.solves, rows * queries.size());
   // The default clamp's residual impedance is a few hundred ohms: the
@@ -239,7 +248,9 @@ TEST(SclSolveCounters, NominalFidelityRunsNoSolves) {
   engine.configure(DistanceMetric::kHamming, 2);
   engine.store(data::random_int_vectors(6, 8, 4, 41));
   engine.array()->reset_scl_solve_stats();
-  for (const auto& q : data::random_int_vectors(4, 8, 4, 43)) (void)engine.search(q);
+  for (const auto& q : data::random_int_vectors(4, 8, 4, 43)) {
+    (void)engine.search_hits_at(q, 1, 0);
+  }
   EXPECT_EQ(engine.array()->scl_solve_stats().solves, 0u);
 }
 

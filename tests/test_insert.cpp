@@ -17,11 +17,21 @@ namespace {
 
 using csp::DistanceMetric;
 
-void expect_identical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);  // bit-exact
+void expect_identical(const Hit& a, const Hit& b) {
+  EXPECT_EQ(a.global_row, b.global_row);
+  EXPECT_EQ(a.sensed_current_a, b.sensed_current_a);  // bit-exact
   EXPECT_EQ(a.margin_a, b.margin_a);
   EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+}
+
+/// Both engines' 1-NN hits for every query, query i at ordinal i, must
+/// be bit-identical.
+void expect_identical_searches(const FerexEngine& a, const FerexEngine& b,
+                               const std::vector<std::vector<int>>& queries) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_identical(a.search_hits_at(queries[i], 1, i).front(),
+                     b.search_hits_at(queries[i], 1, i).front());
+  }
 }
 
 class InsertIdenticalT
@@ -54,9 +64,7 @@ TEST_P(InsertIdenticalT, InsertsMatchFreshStoreBitExactly) {
               stored.array()->device_resistance(r, 3, 0));
   }
   // Search-level identity, including comparator noise streams.
-  for (const auto& q : queries) {
-    expect_identical(streamed.search(q), stored.search(q));
-  }
+  expect_identical_searches(streamed, stored, queries);
 }
 
 TEST_P(InsertIdenticalT, StoreThenInsertTailMatchesFullStore) {
@@ -75,9 +83,7 @@ TEST_P(InsertIdenticalT, StoreThenInsertTailMatchesFullStore) {
   partial.store({db.begin(), db.begin() + 6});
   for (std::size_t r = 6; r < db.size(); ++r) partial.insert(db[r]);
 
-  for (const auto& q : queries) {
-    expect_identical(partial.search(q), full.search(q));
-  }
+  expect_identical_searches(partial, full, queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -100,9 +106,7 @@ TEST(InsertT, CompositeCodecInsertsMatchFreshStore) {
   streamed.configure_composite(DistanceMetric::kHamming, 4);
   for (const auto& row : db) streamed.insert(row);
 
-  for (const auto& q : queries) {
-    expect_identical(streamed.search(q), stored.search(q));
-  }
+  expect_identical_searches(streamed, stored, queries);
 }
 
 TEST(InsertT, InsertThenReconfigureReencodesInsertedRows) {
@@ -114,12 +118,13 @@ TEST(InsertT, InsertThenReconfigureReencodesInsertedRows) {
   engine.configure(DistanceMetric::kManhattan, 2);
   EXPECT_EQ(engine.stored_count(), db.size());
   const auto queries = data::random_int_vectors(6, 6, 4, 58);
-  for (const auto& q : queries) {
-    const auto result = engine.search(q);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto& q = queries[i];
+    const auto result = engine.search_hits_at(q, 1, i).front();
     // The winner's reported distance is the Manhattan distance — the
     // inserted rows were re-encoded under the new metric.
     EXPECT_EQ(result.nominal_distance,
-              engine.software_distance(q, result.nearest));
+              engine.software_distance(q, result.global_row));
   }
 }
 
@@ -176,8 +181,8 @@ TEST(InsertT, RejectsWithoutMutating) {
   FerexEngine fresh;
   fresh.configure(DistanceMetric::kHamming, 2);
   fresh.store(db);
-  const auto q = data::random_int_vectors(1, 6, 4, 61).front();
-  expect_identical(engine.search(q), fresh.search(q));
+  expect_identical_searches(engine, fresh,
+                            data::random_int_vectors(1, 6, 4, 61));
 }
 
 }  // namespace
@@ -189,18 +194,18 @@ namespace {
 using csp::DistanceMetric;
 using core::SearchFidelity;
 
-void expect_identical(const BankedSearchResult& a,
-                      const BankedSearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
+void expect_identical(const core::Hit& a, const core::Hit& b) {
+  EXPECT_EQ(a.global_row, b.global_row);
   EXPECT_EQ(a.bank, b.bank);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);
+  EXPECT_EQ(a.sensed_current_a, b.sensed_current_a);
   EXPECT_EQ(a.margin_a, b.margin_a);
   EXPECT_EQ(a.nominal_distance, b.nominal_distance);
 }
 
-class BankedInsertT : public ::testing::TestWithParam<SearchFidelity> {};
+class BankedStreamingInsertT
+    : public ::testing::TestWithParam<SearchFidelity> {};
 
-TEST_P(BankedInsertT, InsertsAcrossBankBoundariesMatchFreshStore) {
+TEST_P(BankedStreamingInsertT, InsertsAcrossBankBoundariesMatchFreshStore) {
   BankedOptions opt;
   opt.bank_rows = 4;
   opt.engine.fidelity = GetParam();
@@ -223,20 +228,25 @@ TEST_P(BankedInsertT, InsertsAcrossBankBoundariesMatchFreshStore) {
   EXPECT_EQ(streamed.stored_count(), stored.stored_count());
   EXPECT_EQ(streamed.dims(), 6u);
 
-  for (const auto& q : queries) {
-    expect_identical(streamed.search(q), stored.search(q));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_identical(streamed.search_at(queries[i], i),
+                     stored.search_at(queries[i], i));
   }
   // k-NN crosses bank boundaries identically too.
-  const auto all_stored = stored.search_k(queries.front(), db.size());
-  const auto all_streamed = streamed.search_k(queries.front(), db.size());
-  EXPECT_EQ(all_stored, all_streamed);
+  const auto all_stored = stored.search_hits_at(queries.front(), db.size(), 0);
+  const auto all_streamed =
+      streamed.search_hits_at(queries.front(), db.size(), 0);
+  ASSERT_EQ(all_stored.size(), all_streamed.size());
+  for (std::size_t i = 0; i < all_stored.size(); ++i) {
+    expect_identical(all_stored[i], all_streamed[i]);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Fidelities, BankedInsertT,
+INSTANTIATE_TEST_SUITE_P(Fidelities, BankedStreamingInsertT,
                          ::testing::Values(SearchFidelity::kCircuit,
                                            SearchFidelity::kNominal));
 
-TEST(BankedInsertErrorsT, RejectsWithoutMutating) {
+TEST(BankedStreamingInsertErrorsT, RejectsWithoutMutating) {
   BankedAm am;
   EXPECT_THROW(am.insert(std::vector<int>{1}), std::logic_error);
   am.configure(DistanceMetric::kHamming, 2);
@@ -248,7 +258,8 @@ TEST(BankedInsertErrorsT, RejectsWithoutMutating) {
   EXPECT_EQ(am.bank_count(), 1u);
 }
 
-TEST(BankedInsertErrorsT, WrongLengthAtBankBoundaryDoesNotGrowABank) {
+TEST(BankedStreamingInsertErrorsT,
+     WrongLengthAtBankBoundaryDoesNotGrowABank) {
   BankedOptions opt;
   opt.bank_rows = 2;
   BankedAm am(opt);

@@ -39,18 +39,24 @@
 namespace ferex {
 namespace {
 
-using core::EngineInsert;
 using core::FerexEngine;
 using core::FerexOptions;
+using core::Hit;
 using core::SearchFidelity;
-using core::SearchResult;
 using csp::DistanceMetric;
 
-void expect_identical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.nearest, b.nearest);
-  EXPECT_EQ(a.winner_current_a, b.winner_current_a);  // bit-exact
+void expect_identical(const Hit& a, const Hit& b) {
+  EXPECT_EQ(a.global_row, b.global_row);
+  EXPECT_EQ(a.bank, b.bank);
+  EXPECT_EQ(a.sensed_current_a, b.sensed_current_a);  // bit-exact
   EXPECT_EQ(a.margin_a, b.margin_a);
   EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+}
+
+/// The engine's 1-NN hit at one comparator-noise ordinal.
+Hit top1(const FerexEngine& engine, const std::vector<int>& query,
+         std::uint64_t ordinal) {
+  return engine.search_hits_at(query, 1, ordinal).front();
 }
 
 void expect_identical(const serve::SearchResponse& a,
@@ -164,19 +170,19 @@ TEST(EngineMutT, RemoveExcludesRowAndBoundsK) {
 
   // Deleting the current winner must dethrone it.
   const auto q = data::random_int_vectors(1, 5, 4, 906).front();
-  const auto before = engine.search_at(q, 0);
-  engine.remove(before.nearest);
+  const auto before = top1(engine, q, 0);
+  engine.remove(before.global_row);
   EXPECT_EQ(engine.live_count(), 5u);
   EXPECT_EQ(engine.stored_count(), 6u);
-  const auto after = engine.search_at(q, 0);
-  EXPECT_NE(after.nearest, before.nearest);
+  const auto after = top1(engine, q, 0);
+  EXPECT_NE(after.global_row, before.global_row);
 
   // k == live_count covers exactly the live rows; one more throws.
   const auto hits = engine.search_hits_at(q, 5, 0);
   std::vector<bool> seen(db.size(), false);
   for (const auto& hit : hits) {
-    EXPECT_NE(hit.nearest, before.nearest);
-    seen[hit.nearest] = true;
+    EXPECT_NE(hit.global_row, before.global_row);
+    seen[hit.global_row] = true;
   }
   EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 5);
   EXPECT_THROW(engine.search_hits_at(q, 6, 0), std::invalid_argument);
@@ -191,14 +197,11 @@ TEST(EngineMutT, InsertReusesLowestFreedSlot) {
   engine.remove(1);
 
   const std::vector<int> x(4, 2);
-  const EngineInsert first = engine.insert(x);
-  EXPECT_EQ(first.row, 1u);
-  const EngineInsert second = engine.insert(x);
-  EXPECT_EQ(second.row, 3u);
+  EXPECT_EQ(engine.insert(x).global_row, 1u);
+  EXPECT_EQ(engine.insert(x).global_row, 3u);
   EXPECT_EQ(engine.stored_count(), 5u);  // no growth while slots free
   EXPECT_EQ(engine.live_count(), 5u);
-  const EngineInsert third = engine.insert(x);
-  EXPECT_EQ(third.row, 5u);  // exhausted free slots: append
+  EXPECT_EQ(engine.insert(x).global_row, 5u);  // exhausted free slots
   EXPECT_EQ(engine.stored_count(), 6u);
 }
 
@@ -209,12 +212,12 @@ TEST(EngineMutT, UpdateCostEqualsEraseThenProgram) {
   FerexEngine updated;
   updated.configure(DistanceMetric::kHamming, 2);
   updated.store(db);
-  const auto update_cost = updated.update(2, v);
+  const auto update_cost = updated.update(2, v).cost;
 
   FerexEngine sequenced;
   sequenced.configure(DistanceMetric::kHamming, 2);
   sequenced.store(db);
-  const auto erase_cost = sequenced.remove(2);
+  const auto erase_cost = sequenced.remove(2).cost;
   const auto program_cost = sequenced.insert(v).cost;  // reuses slot 2
 
   EXPECT_EQ(update_cost.pulses, erase_cost.pulses + program_cost.pulses);
@@ -224,7 +227,7 @@ TEST(EngineMutT, UpdateCostEqualsEraseThenProgram) {
                    program_cost.latency_s + erase_cost.latency_s);
   // And the two engines hold identical data afterwards.
   const auto q = data::random_int_vectors(1, 5, 4, 909).front();
-  expect_identical(updated.search_at(q, 4), sequenced.search_at(q, 4));
+  expect_identical(top1(updated, q, 4), top1(sequenced, q, 4));
 }
 
 class EngineInterleaveT : public ::testing::TestWithParam<SearchFidelity> {};
@@ -240,9 +243,9 @@ TEST_P(EngineInterleaveT, InterleaveMatchesFreshStoreOfSurvivingLayout) {
   mutated.store(db);
   mutated.remove(1);
   mutated.remove(4);
-  EXPECT_EQ(mutated.insert(extra[0]).row, 1u);   // reuse slot 1
-  mutated.update(3, extra[1]);                   // overwrite in place
-  EXPECT_EQ(mutated.insert(extra[2]).row, 4u);   // reuse slot 4
+  EXPECT_EQ(mutated.insert(extra[0]).global_row, 1u);  // reuse slot 1
+  mutated.update(3, extra[1]);                         // overwrite in place
+  EXPECT_EQ(mutated.insert(extra[2]).global_row, 4u);  // reuse slot 4
   EXPECT_EQ(mutated.live_count(), 6u);
 
   // The surviving database in its physical layout, stored fresh with
@@ -312,8 +315,8 @@ TEST(EngineMutT, ResidualMaskMatchesFreshStoreOfSurvivorsOnly) {
     const auto b = survivors.search_hits_at(q, 3, ordinal);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].nearest, mapping[b[i].nearest]);
-      EXPECT_EQ(a[i].winner_current_a, b[i].winner_current_a);
+      EXPECT_EQ(a[i].global_row, mapping[b[i].global_row]);
+      EXPECT_EQ(a[i].sensed_current_a, b[i].sensed_current_a);
       EXPECT_EQ(a[i].margin_a, b[i].margin_a);
       EXPECT_EQ(a[i].nominal_distance, b[i].nominal_distance);
     }
@@ -335,7 +338,7 @@ TEST(EngineMutT, ConfigureAfterRemovePreservesMask) {
   EXPECT_EQ(engine.live_count(), 4u);
   const auto q = data::random_int_vectors(1, 4, 4, 916).front();
   for (const auto& hit : engine.search_hits_at(q, 4, 0)) {
-    EXPECT_NE(hit.nearest, 2u);
+    EXPECT_NE(hit.global_row, 2u);
   }
 }
 
@@ -347,11 +350,10 @@ TEST(EngineMutT, AllRemovedEngineRejectsSearches) {
   engine.remove(1);
   EXPECT_EQ(engine.live_count(), 0u);
   const std::vector<int> q(4, 0);
-  EXPECT_THROW(engine.search(q), std::logic_error);
-  EXPECT_THROW(engine.search_at(q, 0), std::logic_error);
+  EXPECT_THROW(top1(engine, q, 0), std::logic_error);
   // Insert revives the index through the freed slots.
-  EXPECT_EQ(engine.insert(std::vector<int>(4, 1)).row, 0u);
-  EXPECT_EQ(engine.search_at(q, 0).nearest, 0u);
+  EXPECT_EQ(engine.insert(std::vector<int>(4, 1)).global_row, 0u);
+  EXPECT_EQ(top1(engine, q, 0).global_row, 0u);
 }
 
 // ------------------------------------------------------------ banked --
@@ -386,37 +388,32 @@ TEST(BankedMutT, RemoveRoutesThroughGlobalRowAndInsertReusesBeforeGrowth) {
   EXPECT_EQ(am.bank_count(), 3u);
 }
 
-TEST(BankedMutT, EmptiedBankStopsFiringAndIntraSettingReconciles) {
+TEST(BankedMutT, EmptiedBankStopsFiring) {
   arch::BankedOptions opt;
   opt.bank_rows = 2;
   opt.engine.fidelity = SearchFidelity::kNominal;
-  const std::size_t intra_default = opt.engine.intra_query_min_devices;
   arch::BankedAm am(opt);
   am.configure(DistanceMetric::kHamming, 2);
   const auto db = data::random_int_vectors(4, 4, 4, 919);
   am.store(db);  // two banks
   ASSERT_EQ(am.bank_count(), 2u);
-  EXPECT_EQ(am.bank(0).options().intra_query_min_devices, 0u);
 
   am.remove(2);
   am.remove(3);
   EXPECT_EQ(am.live_bank_count(), 1u);
-  // Back to effectively one bank: the surviving bank regains its row
-  // fan-out heuristic (scheduling only, results identical either way).
-  EXPECT_EQ(am.bank(0).options().intra_query_min_devices, intra_default);
 
   // Searches skip the dead bank entirely; k spans only live rows.
   const auto q = data::random_int_vectors(1, 4, 4, 920).front();
   const auto hit = am.search_at(q, 0);
-  EXPECT_LT(hit.nearest, 2u);
-  const auto hits = am.search_k_hits(q, 2);
-  for (const auto& h : hits) EXPECT_LT(h.nearest, 2u);
-  EXPECT_THROW(am.search_k_hits(q, 3), std::invalid_argument);
+  EXPECT_LT(hit.global_row, 2u);
+  const auto hits = am.search_hits_at(q, 2, 0);
+  for (const auto& h : hits) EXPECT_LT(h.global_row, 2u);
+  EXPECT_THROW(am.search_hits_at(q, 3, 0), std::invalid_argument);
 
-  // Reviving a row in the dead bank restores multi-bank scheduling.
+  // Reviving a row in the dead bank brings the bank back.
   am.update(3, std::vector<int>(4, 1));
   EXPECT_EQ(am.live_bank_count(), 2u);
-  EXPECT_EQ(am.bank(0).options().intra_query_min_devices, 0u);
+  EXPECT_EQ(am.search_hits_at(q, 3, 0).size(), 3u);
 }
 
 class BankedInterleaveT : public ::testing::TestWithParam<SearchFidelity> {};
@@ -447,21 +444,14 @@ TEST_P(BankedInterleaveT, InterleaveMatchesFreshStoreOfSurvivingLayout) {
   const auto queries = data::random_int_vectors(5, 4, 4, 923);
   std::uint64_t ordinal = 0;
   for (const auto& q : queries) {
-    const auto a = mutated.search_at(q, ordinal);
-    const auto b = fresh.search_at(q, ordinal);
-    EXPECT_EQ(a.nearest, b.nearest);
-    EXPECT_EQ(a.bank, b.bank);
-    EXPECT_EQ(a.winner_current_a, b.winner_current_a);
-    EXPECT_EQ(a.margin_a, b.margin_a);
-    EXPECT_EQ(a.nominal_distance, b.nominal_distance);
+    expect_identical(mutated.search_at(q, ordinal),
+                     fresh.search_at(q, ordinal));
     ++ordinal;
-    const auto ka = mutated.search_k_hits(q, 4);
-    const auto kb = fresh.search_k_hits(q, 4);
+    const auto ka = mutated.search_hits_at(q, 4, 0);
+    const auto kb = fresh.search_hits_at(q, 4, 0);
     ASSERT_EQ(ka.size(), kb.size());
     for (std::size_t i = 0; i < ka.size(); ++i) {
-      EXPECT_EQ(ka[i].nearest, kb[i].nearest);
-      EXPECT_EQ(ka[i].winner_current_a, kb[i].winner_current_a);
-      EXPECT_EQ(ka[i].margin_a, kb[i].margin_a);
+      expect_identical(ka[i], kb[i]);
     }
   }
 }

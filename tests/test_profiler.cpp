@@ -79,6 +79,25 @@ TEST(Profiler, RejectsUnreadyEngineAndBadBins) {
   EXPECT_THROW(profile_searches(ready, queries, 0), std::invalid_argument);
 }
 
+TEST(Profiler, IgnoresRemovedRows) {
+  auto engine = ready_engine(/*noisy=*/false);
+  const auto queries = random_queries(1);
+  // Plant an exact match, then delete it: the software minimum must be
+  // taken over the live rows only, which the sensed winner achieves.
+  engine.update(3, queries.front());
+  EXPECT_DOUBLE_EQ(profile_searches(engine, queries).argmin_agreement, 1.0);
+  engine.remove(3);
+  const auto profile = profile_searches(engine, queries);
+  EXPECT_DOUBLE_EQ(profile.argmin_agreement, 1.0);
+  // The deleted exact match (distance 0) no longer wins.
+  EXPECT_EQ(profile.winner_distance_histogram[0], 0u);
+  // Nothing live: there is no winner to profile.
+  for (std::size_t r = 0; r < engine.stored_count(); ++r) {
+    if (engine.row_live(r)) engine.remove(r);
+  }
+  EXPECT_THROW(profile_searches(engine, queries), std::logic_error);
+}
+
 // ----------------------------------------------------- LatencyReservoir --
 
 TEST(LatencyReservoirT, ExactPercentilesBelowCapacity) {

@@ -1,7 +1,8 @@
-// Tests for the AmIndex serving layer: the unified request/response API
-// must be bit-identical to the legacy FerexEngine / BankedAm entry
-// points across metric x fidelity x k x single/batched, drivable from
-// const contexts, and must validate requests before consuming ordinals.
+// Tests for the AmIndex serving layer: a request served at serial n
+// must be bit-identical to the backend's own search_hits_at(q, k, n)
+// across metric x fidelity x k, match a brute-force nominal oracle
+// before and after removals, be drivable from const contexts, and
+// validate requests before consuming ordinals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "arch/banked_am.hpp"
 #include "core/ferex.hpp"
+#include "csp/distance_matrix.hpp"
 #include "data/datasets.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
@@ -37,108 +39,52 @@ SearchRequest req_at(std::vector<int> query, std::uint64_t ordinal) {
   return r;
 }
 
-void expect_hit_matches(const Hit& hit, const core::SearchResult& r) {
-  EXPECT_EQ(hit.global_row, r.nearest);
-  EXPECT_EQ(hit.bank, 0u);
-  EXPECT_EQ(hit.sensed_current_a, r.winner_current_a);  // bit-exact
-  EXPECT_EQ(hit.margin_a, r.margin_a);
-  EXPECT_EQ(hit.nominal_distance, r.nominal_distance);
+void expect_identical(const SearchResponse& response,
+                      const std::vector<Hit>& hits) {
+  ASSERT_EQ(response.hits.size(), hits.size());
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(response.hits[i].global_row, hits[i].global_row);
+    EXPECT_EQ(response.hits[i].bank, hits[i].bank);
+    EXPECT_EQ(response.hits[i].sensed_current_a,
+              hits[i].sensed_current_a);  // bit-exact
+    EXPECT_EQ(response.hits[i].margin_a, hits[i].margin_a);
+    EXPECT_EQ(response.hits[i].nominal_distance, hits[i].nominal_distance);
+  }
 }
 
-void expect_hit_matches(const Hit& hit, const arch::BankedSearchResult& r) {
-  EXPECT_EQ(hit.global_row, r.nearest);
-  EXPECT_EQ(hit.bank, r.bank);
-  EXPECT_EQ(hit.sensed_current_a, r.winner_current_a);
-  EXPECT_EQ(hit.margin_a, r.margin_a);
-  EXPECT_EQ(hit.nominal_distance, r.nominal_distance);
-}
-
-class ServeParityT
+class ServeOrdinalT
     : public ::testing::TestWithParam<std::tuple<DistanceMetric,
                                                  SearchFidelity>> {};
 
-TEST_P(ServeParityT, EngineIndexSearchMatchesLegacyBitExactly) {
+TEST_P(ServeOrdinalT, EngineIndexServesSerialNAtBackendOrdinalN) {
   const auto [metric, fidelity] = GetParam();
   core::FerexOptions opt;
   opt.fidelity = fidelity;
   const auto db = data::random_int_vectors(24, 8, 4, 21);
   const auto queries = data::random_int_vectors(12, 8, 4, 22);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   EngineIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
 
-  // The same request sequence consumes the same ordinals, so every hit
-  // is bit-identical to the legacy engine.
-  for (const auto& q : queries) {
-    const auto legacy_result = legacy.search(q);
-    const auto response = index.search(req(q));
-    ASSERT_EQ(response.hits.size(), 1u);
-    expect_hit_matches(response.best(), legacy_result);
-  }
-  EXPECT_EQ(index.query_serial(), queries.size());
-}
-
-TEST_P(ServeParityT, EngineIndexTopKMatchesSearchK) {
-  const auto [metric, fidelity] = GetParam();
-  core::FerexOptions opt;
-  opt.fidelity = fidelity;
-  const auto db = data::random_int_vectors(24, 8, 4, 23);
-  const auto queries = data::random_int_vectors(6, 8, 4, 24);
-
-  core::FerexEngine legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
-  EngineIndex index(opt);
-  index.configure(metric, 2);
-  index.store(db);
-
-  for (const auto& q : queries) {
-    const auto winners = legacy.search_k(q, 5);
-    const auto response = index.search(req(q, 5));
-    ASSERT_EQ(response.hits.size(), 5u);
-    for (std::size_t i = 0; i < winners.size(); ++i) {
-      EXPECT_EQ(response.hits[i].global_row, winners[i]);
-    }
+  // Request n consumes serial n, interleaving k = 1 and k = 5.
+  for (std::size_t n = 0; n < queries.size(); ++n) {
+    const std::size_t k = n % 2 == 0 ? 1 : 5;
+    const auto response = index.search(req(queries[n], k));
+    expect_identical(response,
+                     index.engine().search_hits_at(queries[n], k, n));
     // Hit detail is self-consistent: nominal distance of each hit
     // matches the engine's reference for that row.
     for (const auto& hit : response.hits) {
+      EXPECT_EQ(hit.bank, 0u);
       EXPECT_EQ(hit.nominal_distance,
-                index.engine().nominal_distance(q, hit.global_row));
+                index.engine().nominal_distance(queries[n], hit.global_row));
     }
-  }
-}
-
-TEST_P(ServeParityT, EngineIndexBatchMatchesLegacyBatch) {
-  const auto [metric, fidelity] = GetParam();
-  core::FerexOptions opt;
-  opt.fidelity = fidelity;
-  const auto db = data::random_int_vectors(24, 8, 4, 25);
-  const auto queries = data::random_int_vectors(9, 8, 4, 26);
-
-  core::FerexEngine legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
-  EngineIndex index(opt);
-  index.configure(metric, 2);
-  index.store(db);
-
-  const auto legacy_results = legacy.search_batch(queries);
-  std::vector<SearchRequest> requests;
-  for (const auto& q : queries) requests.push_back(req(q));
-  const auto responses = index.search_batch(requests);
-  ASSERT_EQ(responses.size(), legacy_results.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_EQ(responses[i].hits.size(), 1u);
-    expect_hit_matches(responses[i].best(), legacy_results[i]);
   }
   EXPECT_EQ(index.query_serial(), queries.size());
 }
 
-TEST_P(ServeParityT, BankedIndexSearchMatchesLegacyBitExactly) {
+TEST_P(ServeOrdinalT, BankedIndexServesSerialNAtBackendOrdinalN) {
   const auto [metric, fidelity] = GetParam();
   arch::BankedOptions opt;
   opt.bank_rows = 7;
@@ -146,81 +92,119 @@ TEST_P(ServeParityT, BankedIndexSearchMatchesLegacyBitExactly) {
   const auto db = data::random_int_vectors(25, 8, 4, 27);
   const auto queries = data::random_int_vectors(10, 8, 4, 28);
 
-  arch::BankedAm legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
   BankedIndex index(opt);
   index.configure(metric, 2);
   index.store(db);
   EXPECT_EQ(index.bank_count(), 4u);
 
-  for (const auto& q : queries) {
-    const auto legacy_result = legacy.search(q);
-    const auto response = index.search(req(q));
-    ASSERT_EQ(response.hits.size(), 1u);
-    expect_hit_matches(response.best(), legacy_result);
-  }
-}
-
-TEST_P(ServeParityT, BankedIndexTopKMatchesSearchK) {
-  const auto [metric, fidelity] = GetParam();
-  arch::BankedOptions opt;
-  opt.bank_rows = 6;
-  opt.engine.fidelity = fidelity;
-  const auto db = data::random_int_vectors(20, 8, 4, 29);
-  const auto queries = data::random_int_vectors(6, 8, 4, 30);
-
-  arch::BankedAm legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
-  BankedIndex index(opt);
-  index.configure(metric, 2);
-  index.store(db);
-
-  for (const auto& q : queries) {
-    const auto winners = legacy.search_k(q, 7);
-    const auto response = index.search(req(q, 7));
-    ASSERT_EQ(response.hits.size(), 7u);
-    for (std::size_t i = 0; i < winners.size(); ++i) {
-      EXPECT_EQ(response.hits[i].global_row, winners[i]);
-      // The bank coordinate points at the bank that owns the row.
-      EXPECT_EQ(response.hits[i].bank, winners[i] / opt.bank_rows);
+  for (std::size_t n = 0; n < queries.size(); ++n) {
+    const std::size_t k = n % 2 == 0 ? 1 : 7;
+    const auto response = index.search(req(queries[n], k));
+    expect_identical(response,
+                     index.banked().search_hits_at(queries[n], k, n));
+    // The bank coordinate points at the bank that owns the row.
+    for (const auto& hit : response.hits) {
+      EXPECT_EQ(hit.bank, hit.global_row / opt.bank_rows);
     }
   }
-}
-
-TEST_P(ServeParityT, BankedIndexBatchMatchesLegacyBatch) {
-  const auto [metric, fidelity] = GetParam();
-  arch::BankedOptions opt;
-  opt.bank_rows = 9;
-  opt.engine.fidelity = fidelity;
-  const auto db = data::random_int_vectors(22, 8, 4, 31);
-  const auto queries = data::random_int_vectors(8, 8, 4, 32);
-
-  arch::BankedAm legacy(opt);
-  legacy.configure(metric, 2);
-  legacy.store(db);
-  BankedIndex index(opt);
-  index.configure(metric, 2);
-  index.store(db);
-
-  const auto legacy_results = legacy.search_batch(queries);
-  std::vector<SearchRequest> requests;
-  for (const auto& q : queries) requests.push_back(req(q));
-  const auto responses = index.search_batch(requests);
-  ASSERT_EQ(responses.size(), legacy_results.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_EQ(responses[i].hits.size(), 1u);
-    expect_hit_matches(responses[i].best(), legacy_results[i]);
-  }
+  EXPECT_EQ(index.query_serial(), queries.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MetricsAndFidelities, ServeParityT,
+    MetricsAndFidelities, ServeOrdinalT,
     ::testing::Combine(::testing::Values(DistanceMetric::kHamming,
                                          DistanceMetric::kManhattan),
                        ::testing::Values(SearchFidelity::kCircuit,
                                          SearchFidelity::kNominal)));
+
+// ----------------------------------------------------- nominal oracle --
+
+/// Brute-force k-NN straight from the distance matrix: live rows sorted
+/// by summed element distance, ties to the lowest row.
+std::vector<std::pair<int, std::size_t>> oracle_knn(
+    const csp::DistanceMatrix& dm, const std::vector<std::vector<int>>& db,
+    const std::vector<bool>& live, const std::vector<int>& query,
+    std::size_t k) {
+  std::vector<std::pair<int, std::size_t>> ranked;
+  for (std::size_t r = 0; r < db.size(); ++r) {
+    if (!live[r]) continue;
+    int distance = 0;
+    for (std::size_t d = 0; d < query.size(); ++d) {
+      distance += dm.at(static_cast<std::size_t>(query[d]),
+                        static_cast<std::size_t>(db[r][d]));
+    }
+    ranked.emplace_back(distance, r);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  ranked.resize(k);
+  return ranked;
+}
+
+class NominalOracleT
+    : public ::testing::TestWithParam<std::tuple<bool, DistanceMetric>> {};
+
+TEST_P(NominalOracleT, HitsMatchBruteForceBeforeAndAfterRemove) {
+  const auto [banked, metric] = GetParam();
+  std::unique_ptr<AmIndex> index;
+  if (banked) {
+    arch::BankedOptions opt;
+    opt.bank_rows = 5;
+    opt.engine.fidelity = SearchFidelity::kNominal;
+    index = std::make_unique<BankedIndex>(opt);
+  } else {
+    core::FerexOptions opt;
+    opt.fidelity = SearchFidelity::kNominal;
+    index = std::make_unique<EngineIndex>(opt);
+  }
+  const auto dm = csp::DistanceMatrix::make(metric, 2);
+  const auto db = data::random_int_vectors(18, 6, 4, 45);
+  const auto queries = data::random_int_vectors(8, 6, 4, 46);
+  index->configure(metric, 2);
+  index->store(db);
+
+  std::vector<bool> live(db.size(), true);
+  const auto check_all = [&] {
+    for (const auto& q : queries) {
+      for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+        const auto response = index->search(req(q, k));
+        const auto expected = oracle_knn(dm, db, live, q, k);
+        ASSERT_EQ(response.hits.size(), k);
+        for (std::size_t i = 0; i < k; ++i) {
+          EXPECT_EQ(response.hits[i].global_row, expected[i].second);
+          EXPECT_EQ(response.hits[i].nominal_distance, expected[i].first);
+          // At nominal fidelity the sensed current IS the distance.
+          EXPECT_EQ(response.hits[i].sensed_current_a,
+                    static_cast<double>(expected[i].first));
+        }
+      }
+    }
+  };
+  check_all();
+  // Remove every query's current winner (and one bank-boundary row):
+  // removed rows can never be hits, and k is bounded by the live count.
+  for (const auto& q : queries) {
+    const std::size_t winner = oracle_knn(dm, db, live, q, 1)[0].second;
+    index->remove(winner);
+    live[winner] = false;
+  }
+  if (live[5]) {
+    index->remove(5);
+    live[5] = false;
+  }
+  check_all();
+  const auto live_rows = static_cast<std::size_t>(
+      std::count(live.begin(), live.end(), true));
+  EXPECT_EQ(index->live_count(), live_rows);
+  EXPECT_THROW(index->search(req(queries[0], live_rows + 1)),
+               std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, NominalOracleT,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(DistanceMetric::kHamming,
+                                         DistanceMetric::kManhattan,
+                                         DistanceMetric::kEuclideanSquared)));
 
 TEST(ServeT, ConstIndexServesOrdinalAddressedRequests) {
   core::FerexOptions opt;
@@ -252,35 +236,6 @@ TEST(ServeT, ConstIndexServesOrdinalAddressedRequests) {
   EXPECT_EQ(replay.best().sensed_current_a,
             mutable_result.best().sensed_current_a);
   EXPECT_EQ(index.query_serial(), 1u);
-}
-
-TEST(ServeT, LegacyEngineShimAndServeCoreInterleave) {
-  // The legacy entry points are shims over the same const cores, so an
-  // engine and an index driven with the same ordinal schedule agree even
-  // when calls interleave search and search_k.
-  core::FerexOptions opt;
-  const auto db = data::random_int_vectors(16, 6, 4, 35);
-  const auto queries = data::random_int_vectors(6, 6, 4, 36);
-
-  core::FerexEngine legacy(opt);
-  legacy.configure(DistanceMetric::kHamming, 2);
-  legacy.store(db);
-  EngineIndex index(opt);
-  index.configure(DistanceMetric::kHamming, 2);
-  index.store(db);
-
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (i % 2 == 0) {
-      const auto r = legacy.search(queries[i]);
-      expect_hit_matches(index.search(req(queries[i])).best(), r);
-    } else {
-      const auto winners = legacy.search_k(queries[i], 4);
-      const auto response = index.search(req(queries[i], 4));
-      for (std::size_t j = 0; j < winners.size(); ++j) {
-        EXPECT_EQ(response.hits[j].global_row, winners[j]);
-      }
-    }
-  }
 }
 
 TEST(ServeT, PolymorphicBackendsShareOneSurface) {
@@ -329,17 +284,17 @@ TEST(ServeT, BankedMarginIsGapBetweenTwoBestBankWinners) {
   index.store(db);
 
   const auto response = index.search_at(req(q), 0);
-  // Reconstruct the per-bank winners through the legacy const core.
+  // Reconstruct the per-bank winners through each bank's own engine.
   std::vector<double> winner_currents;
   for (std::size_t start = 0; start < db.size(); start += opt.bank_rows) {
     core::FerexOptions engine_opt = opt.engine;
     engine_opt.seed = opt.engine.seed + 0x9e37 * (start + 1);
-    engine_opt.intra_query_min_devices = 0;
     core::FerexEngine bank(engine_opt);
     bank.configure(DistanceMetric::kHamming, 2);
     bank.store({db.begin() + start,
                 db.begin() + std::min(start + opt.bank_rows, db.size())});
-    winner_currents.push_back(bank.search_at(q, 0).winner_current_a);
+    winner_currents.push_back(
+        bank.search_hits_at(q, 1, 0).front().sensed_current_a);
   }
   std::sort(winner_currents.begin(), winner_currents.end());
   EXPECT_EQ(response.best().sensed_current_a, winner_currents[0]);
@@ -389,15 +344,16 @@ TEST(ServeT, CompositeCodecServesThroughTheSameSurface) {
   const auto db = data::random_int_vectors(12, 5, 16, 43);
   const auto queries = data::random_int_vectors(5, 5, 16, 44);
 
-  core::FerexEngine legacy(opt);
-  legacy.configure_composite(DistanceMetric::kHamming, 4);
-  legacy.store(db);
+  core::FerexEngine engine(opt);
+  engine.configure_composite(DistanceMetric::kHamming, 4);
+  engine.store(db);
   EngineIndex index(opt);
   index.configure_composite(DistanceMetric::kHamming, 4);
   index.store(db);
 
-  for (const auto& q : queries) {
-    expect_hit_matches(index.search(req(q)).best(), legacy.search(q));
+  for (std::size_t n = 0; n < queries.size(); ++n) {
+    expect_identical(index.search(req(queries[n], 2)),
+                     engine.search_hits_at(queries[n], 2, n));
   }
 }
 
