@@ -538,11 +538,11 @@ OpenLoopResult open_loop_run(serve::AmIndex& backend, std::size_t rows,
             async_index.submit_update(i % rows, fresh[i % fresh.size()]));
       } else {
         serve::SearchRequest request = requests[i % requests.size()];
-        request.submit.deadline_us = config.deadline_us;
+        request.deadline_us = config.deadline_us;
         search_futures.push_back(async_index.submit(request));
       }
     } catch (const serve::RejectedRequest&) {
-      ++out.shed;  // submit-time: deadline estimate or queue share cap
+      ++out.shed;  // submit-time: deadline estimate or queue at depth
     }
   }
   for (auto& future : search_futures) {

@@ -566,6 +566,15 @@ int CrossbarArray::nominal_distance(std::span<const int> query,
   return total;
 }
 
+// The row loop's inner gather is about 20 bytes of code. Where it lands
+// otherwise depends on the size of unrelated code linked before it, and
+// placed across a 64-byte line it runs markedly slower: on a 4-vCPU
+// Xeon VM a 4-shard nominal fleet's search p50 rose 15% (p90 25%) with
+// no change to this file. 32-byte loop alignment keeps it inside one
+// line. GCC only; other compilers keep their default placement.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("align-loops=32")))
+#endif
 std::vector<int> CrossbarArray::nominal_distances(
     std::span<const int> query) const {
   validate_nominal_query(query);

@@ -67,34 +67,8 @@ class AsyncShardedIndex;
 /// clang's `-Wthread-safety` this makes the template-method protocol a
 /// compile-time rule: every do_* core REQUIRES the capability, so a new
 /// public mutator that forgets its guard fails the static-analysis CI
-/// leg instead of silently racing dispatchers.
+/// leg instead of silently racing the dispatcher.
 class CAPABILITY("role") MutationSerialization {};
-
-/// Per-request serving policy — the v2 request API. Default-constructed
-/// options are the v1 behavior bit for bit: no deadline, FIFO class
-/// placement. Only the async front doors consult these; the synchronous
-/// path (which never queues) ignores them.
-struct SubmitOptions {
-  /// Latency budget in microseconds, counted from submission. 0 = no
-  /// deadline. Under an async front door a request that has already
-  /// missed its budget — by queue-wait estimate at submit, or by
-  /// measured queue wait at dispatch — is shed with the typed
-  /// DeadlineExceeded (thrown from submit, or surfaced through the
-  /// future) instead of burning backend time on a dead answer.
-  std::uint64_t deadline_us = 0;
-
-  /// Where this request may be placed relative to queued writes.
-  enum class Priority : std::uint8_t {
-    /// Follow the session's AdmissionPolicy::order (the default).
-    kClassDefault = 0,
-    /// Strict submission order regardless of policy — v1 behavior.
-    kFifo,
-    /// Place ahead of queued writes (beyond the policy's bounded
-    /// max_writes_ahead budget), even under a kFifo policy.
-    kUrgent,
-  };
-  Priority priority = Priority::kClassDefault;
-};
 
 /// One nearest-neighbor request.
 struct SearchRequest {
@@ -104,21 +78,23 @@ struct SearchRequest {
   /// consuming the index's next ordinal. Replay a recorded request with
   /// its ordinal and the response is bit-identical.
   std::optional<std::uint64_t> ordinal;
-  /// v2: deadline + priority. Defaults reproduce v1 exactly.
-  SubmitOptions submit;
+  /// Latency budget in microseconds, counted from submission. 0 = no
+  /// deadline. Under an async front door a request that has already
+  /// missed its budget — by queue-wait estimate at submit, or by
+  /// measured queue wait at dispatch — is shed with the typed
+  /// DeadlineExceeded (thrown from submit, or surfaced through the
+  /// future) instead of burning backend time on a dead answer. The
+  /// synchronous path, which never queues, ignores it.
+  std::uint64_t deadline_us = 0;
 
-  // Explicit constructors (not an aggregate): v1 call sites brace-init
-  // a prefix of the fields, which would warn under
-  // -Wmissing-field-initializers on every build if the v2 field's
-  // default had to be "missing" rather than defaulted here.
+  // Explicit constructors (not an aggregate): call sites brace-init a
+  // prefix of the fields, which would warn under
+  // -Wmissing-field-initializers on every build if deadline_us had to
+  // be "missing" rather than defaulted here.
   SearchRequest() = default;
   SearchRequest(std::vector<int> query_in, std::size_t k_in = 1,
-                std::optional<std::uint64_t> ordinal_in = std::nullopt,
-                SubmitOptions submit_in = {})
-      : query(std::move(query_in)),
-        k(k_in),
-        ordinal(ordinal_in),
-        submit(submit_in) {}
+                std::optional<std::uint64_t> ordinal_in = std::nullopt)
+      : query(std::move(query_in)), k(k_in), ordinal(ordinal_in) {}
 };
 
 using core::Hit;
@@ -275,10 +251,10 @@ class AmIndex {
 
  private:
   /// AsyncAmIndex holds the ownership flag for its lifetime and drives
-  /// the unguarded do_* / serve_*_at cores from its dispatchers (its
+  /// the unguarded do_* / serve_*_at cores from its dispatcher (its
   /// queue provides the serialization the guards otherwise demand).
   /// Ownership is exclusive: a second wrapper over the same index would
-  /// serve duplicate ordinals and race the first one's dispatchers, so
+  /// serve duplicate ordinals and race the first one's dispatcher, so
   /// the claim throws instead.
   friend class AsyncAmIndex;
   /// AsyncShardedIndex claims the fleet-level ShardedIndex the same way
@@ -311,7 +287,7 @@ class AmIndex {
   }
 
   /// Unguarded bodies of search_at / search_batch_at, for the owning
-  /// AsyncAmIndex's dispatchers.
+  /// AsyncAmIndex's dispatcher.
   SearchResponse serve_at(const SearchRequest& request,
                           std::uint64_t ordinal) const;
   std::vector<SearchResponse> serve_batch_at(

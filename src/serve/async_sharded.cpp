@@ -65,7 +65,7 @@ AsyncShardedIndex::AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base,
     for (std::size_t s = 0; s < sharded_.shard_count(); ++s) {
       AsyncOptions options = base;
       options.wal = shard_wals.empty() ? nullptr : shard_wals[s];
-      // Each session claims its shard and spawns its own dispatchers —
+      // Each session claims its shard and spawns its own dispatcher —
       // the shard-local queues that keep one shard's writes out of
       // every other shard's way.
       sessions_.push_back(
@@ -144,10 +144,9 @@ AsyncShardedIndex::Ticket AsyncShardedIndex::submit(SearchRequest request) {
                 ? request.k
                 : std::min(request.k + 1, shadow_live_[s]);
     sub.ordinal = ordinal;
-    // v2: the deadline budget and priority ride onto every sub-request
-    // — each shard session enforces them against its own queue (the
-    // shard-local analogue of the per-class budgets).
-    sub.submit = request.submit;
+    // The deadline budget rides onto every sub-request — each shard
+    // session enforces it against its own queue.
+    sub.deadline_us = request.deadline_us;
     // Overloaded from a full shard queue rejects the whole search with
     // the serial unmoved (advanced only below, after every shard
     // accepted); sibling sub-searches already queued are const

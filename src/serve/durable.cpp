@@ -127,9 +127,7 @@ WriteReceipt DurableIndex::insert(std::span<const int> vector) {
 WriteReceipt DurableIndex::remove(std::size_t global_row) {
   assert_sync_ownership();
   wal_->append_remove(global_row);
-  WriteReceipt receipt = index_.remove(global_row);
-  maybe_compact();
-  return receipt;
+  return index_.remove(global_row);
 }
 
 WriteReceipt DurableIndex::update(std::size_t global_row,
@@ -169,18 +167,6 @@ std::size_t DurableIndex::compact() {
   // state instead, so recovery never replays across the rewrite.
   checkpoint();
   return freed;
-}
-
-void DurableIndex::maybe_compact() {
-  if (options_.compact_free_fraction <= 0.0) return;
-  const std::size_t stored = index_.stored_count();
-  if (stored == 0) return;
-  const std::size_t freed = stored - index_.live_count();
-  if (static_cast<double>(freed) <
-      options_.compact_free_fraction * static_cast<double>(stored)) {
-    return;
-  }
-  compact();
 }
 
 }  // namespace ferex::serve

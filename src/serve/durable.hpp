@@ -6,8 +6,8 @@
 // recovery (snapshot + replay) is bit-identical, currents and hits, to
 // the uninterrupted run. Asynchronous sessions journal through the same
 // log: hand wal() to AsyncAmIndex (AsyncOptions::wal), which appends at
-// epoch-assignment time under its submit mutex, so log order equals
-// write-epoch order equals apply order.
+// admission under its submit mutex, so log order equals queue order
+// equals apply order.
 //
 //   serve::EngineIndex index(options);
 //   serve::DurableIndex durable(index, "/data/ferex");   // recovers
@@ -40,11 +40,6 @@ struct DurableOptions {
   /// durable (commit == stable storage); kOnClose/kNever trade the tail
   /// for append throughput (bench_serve --durability quantifies it).
   util::SyncPolicy sync = util::SyncPolicy::kEveryAppend;
-
-  /// After a remove, compact (and checkpoint) when the freed-slot
-  /// fraction reaches this threshold. 0 disables the trigger; compact()
-  /// stays available manually.
-  double compact_free_fraction = 0.0;
 };
 
 /// Replays `dir`'s durable state (snapshot, if any, then WAL records
@@ -101,7 +96,6 @@ class DurableIndex {
   /// MutationWhileServed while an AsyncAmIndex owns the index) before
   /// anything is journaled — a rejected mutation must leave no record.
   void assert_sync_ownership();
-  void maybe_compact();
 
   AmIndex& index_;
   std::string dir_;

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "encode/serialize.hpp"
 #include "serve/snapshot.hpp"
 #include "util/durable_file.hpp"
 #include "util/failpoint.hpp"
@@ -12,79 +13,64 @@ namespace ferex::serve {
 namespace {
 
 constexpr char kManifestMagic[8] = {'F', 'E', 'R', 'E', 'X', 'S', 'H', 'M'};
-constexpr std::uint32_t kManifestVersion = 1;
+constexpr std::uint32_t kManifestVersion = 2;
 
+/// Per-shard row counts are deliberately absent: single-row writes touch
+/// one shard log and never the manifest, so recorded counts would go
+/// stale. Recovery derives them from the shards (the dense-image check).
 struct ShardManifest {
   std::uint64_t shards = 0;
   std::uint64_t shard_block = 0;
   std::uint8_t backend = 0;
   std::uint64_t bank_rows = 0;
   std::uint64_t query_serial = 0;
-  std::vector<std::uint64_t> shard_rows;
 };
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& at) {
-  if (in.size() - at < 4) throw SnapshotMismatch("manifest truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(in[at++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& at) {
-  if (in.size() - at < 8) throw SnapshotMismatch("manifest truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t(in[at++]) << (8 * i);
-  return v;
-}
-
 std::vector<std::uint8_t> encode_manifest(const ShardManifest& manifest) {
-  std::vector<std::uint8_t> out;
-  out.reserve(sizeof kManifestMagic + 37 + 8 * manifest.shard_rows.size());
-  for (const char c : kManifestMagic) {
-    out.push_back(static_cast<std::uint8_t>(c));
-  }
-  put_u32(out, kManifestVersion);
-  put_u64(out, manifest.shards);
-  put_u64(out, manifest.shard_block);
-  out.push_back(manifest.backend);
-  put_u64(out, manifest.bank_rows);
-  put_u64(out, manifest.query_serial);
-  for (const std::uint64_t rows : manifest.shard_rows) put_u64(out, rows);
-  return out;
+  encode::ByteWriter out;
+  out.bytes(reinterpret_cast<const std::uint8_t*>(kManifestMagic),
+            sizeof kManifestMagic);
+  out.u32(kManifestVersion);
+  out.u64(manifest.shards);
+  out.u64(manifest.shard_block);
+  out.u8(manifest.backend);
+  out.u64(manifest.bank_rows);
+  out.u64(manifest.query_serial);
+  out.u32(encode::crc32(out.data()));
+  return out.take();
 }
 
 ShardManifest decode_manifest(const std::vector<std::uint8_t>& bytes) {
-  std::size_t at = 0;
-  if (bytes.size() < sizeof kManifestMagic ||
-      std::memcmp(bytes.data(), kManifestMagic, sizeof kManifestMagic) != 0) {
-    throw SnapshotMismatch("manifest magic");
+  try {
+    encode::ByteReader in(bytes);
+    const auto magic = in.bytes(sizeof kManifestMagic);
+    if (std::memcmp(magic.data(), kManifestMagic, sizeof kManifestMagic) !=
+        0) {
+      throw SnapshotMismatch("manifest magic");
+    }
+    const std::uint32_t version = in.u32();
+    if (version != kManifestVersion) {
+      throw SnapshotMismatch("manifest version " + std::to_string(version));
+    }
+    ShardManifest manifest;
+    manifest.shards = in.u64();
+    manifest.shard_block = in.u64();
+    manifest.backend = in.u8();
+    manifest.bank_rows = in.u64();
+    manifest.query_serial = in.u64();
+    const std::size_t covered = in.offset();
+    const std::uint32_t crc = in.u32();
+    in.expect_end();
+    if (encode::crc32(bytes.data(), covered) != crc) {
+      throw SnapshotMismatch("manifest checksum");
+    }
+    return manifest;
+  } catch (const encode::CorruptSnapshot& error) {
+    // A short or oversized manifest is a fleet-level mismatch like any
+    // other damage to it.
+    throw SnapshotMismatch(std::string("manifest unreadable: ") +
+                           error.what());
   }
-  at = sizeof kManifestMagic;
-  const std::uint32_t version = get_u32(bytes, at);
-  if (version != kManifestVersion) {
-    throw SnapshotMismatch("manifest version " + std::to_string(version));
-  }
-  ShardManifest manifest;
-  manifest.shards = get_u64(bytes, at);
-  manifest.shard_block = get_u64(bytes, at);
-  if (bytes.size() - at < 1) throw SnapshotMismatch("manifest truncated");
-  manifest.backend = bytes[at++];
-  manifest.bank_rows = get_u64(bytes, at);
-  manifest.query_serial = get_u64(bytes, at);
-  manifest.shard_rows.reserve(manifest.shards);
-  for (std::uint64_t s = 0; s < manifest.shards; ++s) {
-    manifest.shard_rows.push_back(get_u64(bytes, at));
-  }
-  if (at != bytes.size()) throw SnapshotMismatch("manifest trailing bytes");
-  return manifest;
 }
 
 void check_topology(const ShardManifest& manifest,
@@ -114,12 +100,7 @@ void check_topology(const ShardManifest& manifest,
 
 DurableShardedIndex::DurableShardedIndex(ShardedIndex& fleet, std::string dir,
                                          DurableOptions options)
-    : fleet_(fleet), dir_(std::move(dir)), options_(options) {
-  // Per-shard compaction triggers would rewrite a shard's local layout
-  // behind the fleet's routing bookkeeping; fleet-level compaction is a
-  // checkpoint-shaped operation this layer does not plumb yet.
-  options_.compact_free_fraction = 0.0;
-
+    : fleet_(fleet), dir_(std::move(dir)) {
   std::vector<std::uint8_t> bytes;
   const bool have_manifest = util::read_file(manifest_path(), bytes);
   ShardManifest manifest;
@@ -148,7 +129,7 @@ DurableShardedIndex::DurableShardedIndex(ShardedIndex& fleet, std::string dir,
     // install, torn-tail repair, watermark-skip replay — in shard-local
     // coordinates throughout.
     shards_.push_back(std::make_unique<DurableIndex>(fleet_.shard(s),
-                                                     shard_dir(s), options_));
+                                                     shard_dir(s), options));
   }
   fleet_.rebuild_routing();
 
@@ -254,10 +235,6 @@ void DurableShardedIndex::write_manifest() {
   manifest.backend = static_cast<std::uint8_t>(fleet_.options().backend);
   manifest.bank_rows = fleet_.options().bank_rows;
   manifest.query_serial = fleet_.query_serial();
-  manifest.shard_rows.reserve(fleet_.shard_count());
-  for (std::size_t s = 0; s < fleet_.shard_count(); ++s) {
-    manifest.shard_rows.push_back(fleet_.shard(s).stored_count());
-  }
   const auto bytes = encode_manifest(manifest);
   util::failpoint_hit("sharded.manifest.before_write");
   util::atomic_write_file(manifest_path(), bytes);

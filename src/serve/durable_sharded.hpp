@@ -3,17 +3,23 @@
 // DurableShardedIndex composes PR 7's per-index durability across a
 // ShardedIndex fleet: each shard owns a full DurableIndex directory
 //
-//   <dir>/manifest.ferex          atomic manifest (topology + counts)
+//   <dir>/manifest.ferex          atomic manifest (topology + serial)
 //   <dir>/shard-<s>/snapshot.ferex
 //   <dir>/shard-<s>/wal.ferex     per-shard log, shard-LOCAL coordinates
 //
 // and a fleet manifest — written via util::atomic_write_file, so it is
 // always either the previous complete manifest or the new one — records
-// the routing topology (shard count, shard_block, backend, bank rows),
-// the per-shard row counts at manifest time, and the fleet query
-// serial. Construction recovers: the manifest's topology is checked
-// against the fleet's options (SnapshotMismatch names the first field
-// that disagrees), each shard replays its own snapshot + WAL through
+// the routing topology and the fleet query serial (version 2,
+// little-endian, CRC-checked like snapshots and WAL records):
+//
+//   "FEREXSHM" | u32 version | u64 shards | u64 shard_block |
+//   u8 backend | u64 bank_rows | u64 query_serial |
+//   u32 crc32 over every preceding byte
+//
+// Any damaged, truncated, or other-version manifest is a
+// SnapshotMismatch. Construction recovers: the manifest's topology is
+// checked against the fleet's options (SnapshotMismatch names the
+// first field that disagrees), each shard replays its own snapshot + WAL through
 // DurableIndex, routing is rebuilt from the recovered shards, and the
 // reassembled fleet must be a dense routing image — every shard's
 // stored count equal to rows_for_shard(s, total) — or SnapshotMismatch
@@ -33,8 +39,8 @@
 // order equal apply order, and with SyncPolicy::kEveryAppend a mutation
 // is on stable storage before it returns — commit still implies
 // durable; a crash mid-call loses only that unacknowledged op. The
-// async path keeps journal-before-apply (AsyncAmIndex appends at epoch
-// assignment): hand shard_wals() to AsyncShardedIndex, whose submit-
+// async path keeps journal-before-apply (AsyncAmIndex appends at
+// admission): hand shard_wals() to AsyncShardedIndex, whose submit-
 // time full validation guarantees accepted sub-ops never fail.
 //
 // One fleet-wide caveat: store() and configure() touch every shard's
@@ -76,8 +82,7 @@ class DurableShardedIndex {
   WriteReceipt update(std::size_t global_row, std::span<const int> vector);
 
   /// Checkpoints every shard (snapshot + WAL rotation, crash-safe per
-  /// shard), then rewrites the manifest with the current counts and
-  /// fleet serial.
+  /// shard), then rewrites the manifest with the current fleet serial.
   void checkpoint();
 
   ShardedIndex& index() noexcept { return fleet_; }
@@ -102,7 +107,6 @@ class DurableShardedIndex {
 
   ShardedIndex& fleet_;
   std::string dir_;
-  DurableOptions options_;
   std::vector<std::unique_ptr<DurableIndex>> shards_;
 };
 

@@ -623,7 +623,7 @@ TEST_P(DurableParityT, WatermarkMakesReplayIdempotent) {
   expect_same_state(*live, *recovered, queries, probe);
 }
 
-TEST_P(DurableParityT, AsyncSessionJournalsAtEpochAssignment) {
+TEST_P(DurableParityT, AsyncSessionJournalsAtAdmission) {
   const auto [backend, fidelity] = GetParam();
   const auto db = data::random_int_vectors(6, 5, 4, 1018);
   const auto queries = data::random_int_vectors(4, 5, 4, 1019);
@@ -637,7 +637,6 @@ TEST_P(DurableParityT, AsyncSessionJournalsAtEpochAssignment) {
 
   {
     serve::AsyncOptions options;
-    options.dispatchers = 2;
     options.max_batch = 4;
     options.wal = &durable.wal();
     serve::AsyncAmIndex async_index(*live, options);
@@ -710,29 +709,6 @@ TEST_P(DurableParityT, CompactionIsBitIdenticalToAFreshStoreOfSurvivors) {
   EXPECT_EQ(recovered->stored_count(), 5u);
   EXPECT_EQ(recovered->live_count(), 5u);
   expect_same_state(*recovered, *reference2, queries, probe);
-}
-
-TEST(DurableTriggerT, FreedFractionTriggersCompactionAutomatically) {
-  const auto db = data::random_int_vectors(6, 4, 4, 1024);
-  ScopedDir dir;
-  serve::EngineIndex index{core::FerexOptions{}};
-  serve::DurableOptions options;
-  options.compact_free_fraction = 0.3;
-  serve::DurableIndex durable(index, dir.path(), options);
-  durable.configure(DistanceMetric::kHamming, 2);
-  durable.store(db);
-
-  durable.remove(0);  // 1/6 freed — below threshold
-  EXPECT_EQ(index.stored_count(), 6u);
-  durable.remove(3);  // 2/6 freed — crosses 0.3
-  EXPECT_EQ(index.stored_count(), 4u);
-  EXPECT_EQ(index.live_count(), 4u);
-
-  // The trigger checkpointed: recovery restores the compacted index.
-  serve::EngineIndex recovered{core::FerexOptions{}};
-  serve::recover_index(recovered, dir.path());
-  EXPECT_EQ(recovered.stored_count(), 4u);
-  EXPECT_EQ(recovered.live_count(), 4u);
 }
 
 // ---------------------------------------------------- crash injection --
@@ -846,8 +822,8 @@ TEST(KillChildT, RecoversBitIdenticalAfterHardProcessDeath) {
     if (child == 0) {
       // In the child: real process death via _exit — no unwinding, no
       // destructors, exactly a kill at the record boundary. Async
-      // session so the journal-at-epoch-assignment path is the one
-      // being killed.
+      // session so the journal-at-admission path is the one being
+      // killed.
       util::failpoint_arm("wal.append.after_record", nth, [] { ::_exit(0); });
       serve::EngineIndex index{core::FerexOptions{}};
       serve::DurableIndex durable(index, dir.path());

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #if defined(FEREX_LINT_BIN) && defined(FEREX_BENCH_COMPARE_BIN) && \
@@ -236,6 +238,32 @@ TEST(FerexLintCli, LockHierarchyPrintsRealTreeEdges) {
   EXPECT_NE(out.find("submit_mutex_"), std::string::npos) << out;
   EXPECT_NE(out.find("->"), std::string::npos) << out;
   EXPECT_NE(out.find("declared"), std::string::npos) << out;
+}
+
+// README quotes the hierarchy "exactly as --lock-hierarchy prints it";
+// a lock added, removed or reordered must update that block too.
+TEST(FerexLintCli, ReadmeLockHierarchyMatchesTool) {
+  std::ifstream readme_file(std::string(FEREX_SOURCE_ROOT) + "/README.md");
+  ASSERT_TRUE(readme_file) << "README.md unreadable";
+  std::stringstream buffer;
+  buffer << readme_file.rdbuf();
+  const std::string readme = buffer.str();
+  const std::size_t section = readme.find("The inferred lock hierarchy");
+  ASSERT_NE(section, std::string::npos);
+  const std::string fence = "```\n";
+  const std::size_t open = readme.find(fence, section);
+  ASSERT_NE(open, std::string::npos);
+  const std::size_t body = open + fence.size();
+  const std::size_t close = readme.find(fence, body);
+  ASSERT_NE(close, std::string::npos);
+
+  std::string out;
+  ASSERT_EQ(run(std::string(FEREX_LINT_BIN) + " " +
+                    std::string(FEREX_SOURCE_ROOT) + " --lock-hierarchy",
+                out),
+            0)
+      << out;
+  EXPECT_EQ(readme.substr(body, close - body), out);
 }
 
 // The invariant the whole PR rides on: the shipped tree is lint-clean,

@@ -18,7 +18,8 @@
 //   * a delete/insert/overwrite interleave serves bit-identically to a
 //     fresh store() of the surviving layout;
 //   * DurableShardedIndex recovers the fleet bit-identically, types
-//     every topology/manifest mismatch as SnapshotMismatch, and
+//     every topology/manifest mismatch — including any flipped or
+//     truncated manifest byte — as SnapshotMismatch, and
 //     survives a crash injected at the manifest-write failpoints of a
 //     3-shard fleet.
 #include <gtest/gtest.h>
@@ -44,6 +45,7 @@
 #include "serve/engine_index.hpp"
 #include "serve/sharded_index.hpp"
 #include "serve/snapshot.hpp"
+#include "util/durable_file.hpp"
 #include "util/failpoint.hpp"
 
 namespace ferex {
@@ -906,6 +908,68 @@ TEST(DurableShardedMismatchT, LostShardDirectoryAndLostManifestAreTyped) {
     EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
                  serve::SnapshotMismatch);
   }
+}
+
+TEST(DurableShardedMismatchT, EveryManifestByteFlipAndTruncationIsTyped) {
+  const auto db = data::random_int_vectors(6, 5, 4, 2051);
+  const auto options =
+      make_options(Backend::kEngine, SearchFidelity::kNominal, 2, 2);
+  ScopedDir dir;
+  std::string path;
+  {
+    serve::ShardedIndex live{options};
+    serve::DurableShardedIndex durable(live, dir.path());
+    durable.configure(DistanceMetric::kHamming, 2);
+    durable.store(db);
+    live.set_query_serial(5);
+    durable.checkpoint();
+    path = durable.manifest_path();
+  }
+  std::vector<std::uint8_t> valid;
+  ASSERT_TRUE(util::read_file(path, valid));
+
+  const auto expect_mismatch = [&](const std::vector<std::uint8_t>& bytes) {
+    util::atomic_write_file(path, bytes);
+    serve::ShardedIndex fleet{options};
+    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
+                 serve::SnapshotMismatch);
+  };
+  // A flip anywhere — topology, serial, checksum — is caught, never
+  // recovered as a different fleet or serial.
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    SCOPED_TRACE("flip at byte " + std::to_string(i));
+    auto mutated = valid;
+    mutated[i] ^= 0x40;
+    expect_mismatch(mutated);
+  }
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    SCOPED_TRACE("truncated to " + std::to_string(len));
+    expect_mismatch({valid.begin(), valid.begin() + len});
+  }
+
+  // A version-1 manifest (no checksum, stale per-shard row counts) is
+  // rejected by name rather than misparsed.
+  auto version_1 = valid;
+  version_1[8] = 1;
+  util::atomic_write_file(path, version_1);
+  {
+    serve::ShardedIndex fleet{options};
+    try {
+      serve::DurableShardedIndex durable(fleet, dir.path());
+      FAIL() << "a version-1 manifest must be rejected";
+    } catch (const serve::SnapshotMismatch& error) {
+      EXPECT_NE(std::string(error.what()).find("manifest version 1"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+
+  // The intact manifest still recovers, serial included.
+  util::atomic_write_file(path, valid);
+  serve::ShardedIndex recovered{options};
+  serve::DurableShardedIndex durable(recovered, dir.path());
+  EXPECT_EQ(recovered.query_serial(), 5u);
+  EXPECT_EQ(recovered.stored_count(), db.size());
 }
 
 // --------------------------------------------------- crash injection --
