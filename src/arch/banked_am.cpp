@@ -17,10 +17,19 @@ BankedAm::BankedAm(BankedOptions options)
 }
 
 void BankedAm::configure(csp::DistanceMetric metric, int bits) {
+  // Every bank re-encodes its own rows: check them all first, so a
+  // stored value outside the new alphabet in a later bank does not leave
+  // the earlier ones re-encoded. The banks share one encoder, so an
+  // infeasible encoding throws at bank 0, before any bank changes.
+  check_stored_values(csp::DistanceMatrix::make(metric, bits).stored_count());
+  for (auto& bank : banks_) bank->configure(metric, bits);
   metric_ = metric;
   bits_ = bits;
   configured_ = true;
-  for (auto& bank : banks_) bank->configure(metric, bits);
+}
+
+void BankedAm::check_stored_values(std::size_t alphabet) const {
+  for (const auto& bank : banks_) bank->check_stored_values(alphabet);
 }
 
 std::unique_ptr<core::FerexEngine> BankedAm::make_bank(
@@ -40,9 +49,10 @@ void BankedAm::store(const std::vector<std::vector<int>>& database) {
   if (database.empty()) {
     throw std::invalid_argument("BankedAm::store: empty database");
   }
-  banks_.clear();
-  bank_offsets_.clear();
-  total_rows_ = database.size();
+  // Build the banks aside, so a rejected row (or an infeasible
+  // encoding) leaves the stored banks in place.
+  std::vector<std::unique_ptr<core::FerexEngine>> banks;
+  std::vector<std::size_t> offsets;
   for (std::size_t start = 0; start < database.size();
        start += options_.bank_rows) {
     const std::size_t end =
@@ -51,9 +61,12 @@ void BankedAm::store(const std::vector<std::vector<int>>& database) {
                                         database.begin() + end);
     auto bank = make_bank(start);
     bank->store(std::move(slice));
-    banks_.push_back(std::move(bank));
-    bank_offsets_.push_back(start);
+    banks.push_back(std::move(bank));
+    offsets.push_back(start);
   }
+  banks_ = std::move(banks);
+  bank_offsets_ = std::move(offsets);
+  total_rows_ = database.size();
 }
 
 core::WriteReceipt BankedAm::insert(std::span<const int> vector) {

@@ -38,10 +38,17 @@ class BankedAm {
  public:
   explicit BankedAm(BankedOptions options = {});
 
-  /// Configures the distance function on every (current and future) bank.
+  /// Configures the distance function on every (current and future)
+  /// bank. A rejection (bad bits, an infeasible encoding, a stored value
+  /// outside the new alphabet in any bank) changes nothing.
   void configure(csp::DistanceMetric metric, int bits);
 
-  /// Stores the database, partitioning rows across banks.
+  /// Throws std::out_of_range, changing nothing, if a live stored value
+  /// in any bank lies outside [0, alphabet).
+  void check_stored_values(std::size_t alphabet) const;
+
+  /// Stores the database, partitioning rows across banks. A rejected
+  /// database changes nothing.
   void store(const std::vector<std::vector<int>>& database);
 
   /// Streaming insert. Freed (removed) slots are reused before any

@@ -8,20 +8,43 @@
 
 namespace ferex::core {
 
+namespace {
+
+bool in_alphabet(std::span<const int> row, std::size_t alphabet) {
+  return std::all_of(row.begin(), row.end(), [alphabet](int v) {
+    return v >= 0 && static_cast<std::size_t>(v) < alphabet;
+  });
+}
+
+}  // namespace
+
 FerexEngine::FerexEngine(FerexOptions options)
     : options_(options), rng_(options.seed), lta_(options.lta) {}
 
 void FerexEngine::configure(csp::DistanceMetric metric, int bits) {
+  configure(csp::DistanceMatrix::make(metric, bits));
+  // Only once the new encoding is in place: a rejected configure leaves
+  // the engine reporting the metric it still serves.
   metric_ = metric;
   bits_ = bits;
-  configure(csp::DistanceMatrix::make(metric, bits));
+}
+
+void FerexEngine::check_stored_values(std::size_t alphabet) const {
+  for (std::size_t r = 0; r < database_.size(); ++r) {
+    // A removed slot is never re-programmed.
+    if (live_[r] != 0 && !in_alphabet(database_[r], alphabet)) {
+      throw std::out_of_range(
+          "FerexEngine::configure: stored value outside the new alphabet");
+    }
+  }
 }
 
 void FerexEngine::configure(const csp::DistanceMatrix& dm) {
+  check_stored_values(dm.stored_count());
   report_ = {};
   auto encoding = encode::encode_distance_matrix(dm, options_.encoder, &report_);
   if (!encoding) {
-    throw std::runtime_error("FerexEngine: no feasible encoding for " +
+    throw InfeasibleEncoding("FerexEngine: no feasible encoding for " +
                              dm.name() + " within encoder limits");
   }
   dm_ = dm;
@@ -35,10 +58,11 @@ void FerexEngine::configure_composite(csp::DistanceMetric metric, int bits) {
   auto composite =
       encode::make_composite_encoding(metric, bits, options_.encoder);
   if (!composite) {
-    throw std::runtime_error(
+    throw InfeasibleEncoding(
         "FerexEngine: no composite encoding for " + csp::to_string(metric) +
         " (metric not digit-separable, or base cell infeasible)");
   }
+  check_stored_values(composite->codec.logical_levels());
   metric_ = metric;
   bits_ = bits;
   dm_ = csp::DistanceMatrix::make(metric, bits);
@@ -60,6 +84,11 @@ void FerexEngine::store(std::vector<std::vector<int>> database) {
   for (const auto& row : database) {
     if (row.size() != dims) {
       throw std::invalid_argument("FerexEngine::store: ragged database");
+    }
+    // Configured, the values are checked before anything is replaced,
+    // so a rejected database leaves the engine as it was.
+    if (encoding_ && !in_alphabet(row, value_levels())) {
+      throw std::out_of_range("FerexEngine::store: value out of range");
     }
   }
   database_ = std::move(database);
@@ -195,12 +224,8 @@ WriteReceipt FerexEngine::insert(std::span<const int> vector) {
   // Validate the logical alphabet before mutating anything (append_row
   // re-checks the physical values, but the codec expands with only an
   // assert, and a failed insert must leave the engine untouched).
-  const std::size_t alphabet =
-      codec_ ? codec_->logical_levels() : encoding_->stored_count();
-  for (const int v : vector) {
-    if (v < 0 || static_cast<std::size_t>(v) >= alphabet) {
-      throw std::out_of_range("FerexEngine::insert: value out of range");
-    }
+  if (!in_alphabet(vector, value_levels())) {
+    throw std::out_of_range("FerexEngine::insert: value out of range");
   }
   // Reuse the lowest freed slot before growing: reviving a removed slot
   // is exactly update() on it — already erased, so the receipt charges
@@ -264,12 +289,8 @@ WriteReceipt FerexEngine::update(std::size_t row,
   if (vector.size() != database_.front().size()) {
     throw std::invalid_argument("FerexEngine::update: vector.size() != dims");
   }
-  const std::size_t alphabet =
-      codec_ ? codec_->logical_levels() : encoding_->stored_count();
-  for (const int v : vector) {
-    if (v < 0 || static_cast<std::size_t>(v) >= alphabet) {
-      throw std::out_of_range("FerexEngine::update: value out of range");
-    }
+  if (!in_alphabet(vector, value_levels())) {
+    throw std::out_of_range("FerexEngine::update: value out of range");
   }
   const bool was_live = live_[row] != 0;
   if (codec_) {

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "circuit/crossbar.hpp"
@@ -40,6 +41,15 @@ namespace ferex::core {
 enum class SearchFidelity {
   kCircuit,  ///< device-level currents + variation + LTA offset noise
   kNominal,  ///< exact integer current arithmetic (verified equivalent)
+};
+
+/// No encoding of the requested distance function exists within the
+/// encoder limits. The encoder is deterministic (its resource budget
+/// counts row patterns, not time), so the same configure fails the same
+/// way every time it runs — a write-ahead log replays one as a no-op.
+class InfeasibleEncoding : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 struct FerexOptions {
@@ -69,19 +79,27 @@ class FerexEngine {
 
   /// Configures (or re-configures) the distance function. Runs the CSP
   /// encoder; re-programs any stored data under the new encoding.
-  /// Throws std::runtime_error if no feasible encoding exists within the
-  /// encoder limits.
+  /// Throws InfeasibleEncoding if no feasible encoding exists within the
+  /// encoder limits, std::invalid_argument on bad bits, and
+  /// std::out_of_range if a live stored value lies outside the new
+  /// alphabet — each before anything changes.
   void configure(csp::DistanceMetric metric, int bits);
 
   /// Configures from an arbitrary custom distance matrix.
   void configure(const csp::DistanceMatrix& dm);
+
+  /// Throws std::out_of_range, changing nothing, if a live stored value
+  /// lies outside [0, alphabet) — what configure() to that alphabet
+  /// rejects. Lets a container of engines check every engine before it
+  /// re-encodes any.
+  void check_stored_values(std::size_t alphabet) const;
 
   /// Configures through a composite (digit-decomposed) encoding — the
   /// scalable path for separable metrics at bit widths the exact CSP
   /// cannot reach (bit-sliced Hamming up to 8 bits, thermometer Manhattan
   /// up to 6 bits). Each logical element occupies codec.subcells()
   /// physical cells; searches and programming are transparent.
-  /// Throws std::runtime_error for non-separable metrics (Euclidean).
+  /// Throws InfeasibleEncoding for non-separable metrics (Euclidean).
   void configure_composite(csp::DistanceMetric metric, int bits);
 
   /// Active codec when configured via configure_composite (else nullptr).
@@ -254,6 +272,11 @@ class FerexEngine {
 
  private:
   void rebuild_array();
+  /// Logical values a stored element may take under the configured
+  /// encoding (requires configure()).
+  std::size_t value_levels() const {
+    return codec_ ? codec_->logical_levels() : encoding_->stored_count();
+  }
   /// Ladder + physical width shared by rebuild_array and restore_state.
   device::VoltageLadder make_ladder() const;
   std::size_t physical_dims() const;

@@ -39,12 +39,12 @@ std::size_t fleet_alphabet(const ShardedIndex& sharded) {
 
 }  // namespace
 
-AsyncShardedIndex::AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base,
-                                     std::span<Wal* const> shard_wals)
+AsyncShardedIndex::AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base)
     : sharded_(sharded) {
-  if (!shard_wals.empty() && shard_wals.size() != sharded_.shard_count()) {
+  if (base.wal != nullptr) {
     throw std::invalid_argument(
-        "AsyncShardedIndex: shard_wals.size() != shard count");
+        "AsyncShardedIndex: a WAL would journal per shard; serve a durable "
+        "fleet through AsyncAmIndex with AsyncOptions::wal");
   }
   // Claim the fleet first: from here on no synchronous mutator can move
   // the routing state out from under the shadow snapshot below, and the
@@ -63,13 +63,11 @@ AsyncShardedIndex::AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base,
     }
     sessions_.reserve(sharded_.shard_count());
     for (std::size_t s = 0; s < sharded_.shard_count(); ++s) {
-      AsyncOptions options = base;
-      options.wal = shard_wals.empty() ? nullptr : shard_wals[s];
       // Each session claims its shard and spawns its own dispatcher —
       // the shard-local queues that keep one shard's writes out of
       // every other shard's way.
       sessions_.push_back(
-          std::make_unique<AsyncAmIndex>(sharded_.shard(s), options));
+          std::make_unique<AsyncAmIndex>(sharded_.shard(s), base));
     }
   } catch (...) {
     // Mid-construction failure: unwind the shard sessions that did

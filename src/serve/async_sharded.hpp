@@ -40,10 +40,12 @@
 // a PendingWrite whose receipt carries the global row and shard decided
 // at submission time.
 //
-// Durability: pass one Wal per shard (DurableShardedIndex::shard_wal)
-// and each shard session journals its sub-ops — in shard-local
-// coordinates, at admission — into its own shard log,
-// exactly as AsyncAmIndex + DurableIndex compose for one index.
+// Durability: none here, by design. A durable fleet keeps one WAL in
+// global row coordinates (DurableIndex over the ShardedIndex); its
+// async front door is AsyncAmIndex over the same fleet with
+// AsyncOptions::wal = &durable.wal(), which journals at admission.
+// Journaling here would need a second slot-then-append protocol beside
+// AsyncAmIndex's, so a `base.wal` is rejected rather than dropped.
 #pragma once
 
 #include <cstddef>
@@ -117,12 +119,10 @@ class AsyncShardedIndex {
   /// Claims the fleet and every shard, snapshots the routing shadow
   /// from the quiescent ShardedIndex, and opens one AsyncAmIndex per
   /// shard with `base` options (each shard gets its own queue,
-  /// dispatcher, and coalescing). `shard_wals`, when non-empty, must
-  /// hold one Wal per shard (nullptr entries allowed); each shard
-  /// session journals into its own log. The ShardedIndex (and the Wals)
-  /// must outlive this object.
-  explicit AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base = {},
-                             std::span<Wal* const> shard_wals = {});
+  /// dispatcher, and coalescing). Throws std::invalid_argument, before
+  /// claiming anything, when `base.wal` is set (see the file comment).
+  /// The ShardedIndex must outlive this object.
+  explicit AsyncShardedIndex(ShardedIndex& sharded, AsyncOptions base = {});
 
   ~AsyncShardedIndex();
 

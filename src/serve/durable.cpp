@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/ferex.hpp"
 #include "serve/banked_index.hpp"
 #include "serve/engine_index.hpp"
 #include "serve/snapshot.hpp"
@@ -51,6 +52,17 @@ std::uint64_t recover_index(AmIndex& index, const std::string& dir) {
   const std::string snapshot_path = dir + "/snapshot.ferex";
   const std::string wal_path = dir + "/wal.ferex";
 
+  // The removed per-shard fleet layout kept its state under a manifest
+  // and one subdirectory per shard, none of which this recovery reads:
+  // refuse it rather than cold-start over the data without a word.
+  if (util::path_exists(dir + "/manifest.ferex") ||
+      util::path_exists(dir + "/shard-0")) {
+    throw SnapshotMismatch(
+        dir + " uses the removed per-shard fleet layout (manifest.ferex, "
+              "shard-<s>/); this build keeps one snapshot and one WAL per "
+              "fleet and cannot read it");
+  }
+
   std::uint64_t watermark = 0;
   std::vector<std::uint8_t> bytes;
   if (util::read_file(snapshot_path, bytes)) {
@@ -75,6 +87,9 @@ std::uint64_t recover_index(AmIndex& index, const std::string& dir) {
       // Deterministic validation failure (double remove, bad vector,
       // out-of-range row...): the live run journaled the op before it
       // failed identically, so the replayed no-op *is* bit-identity.
+    } catch (const core::InfeasibleEncoding&) {
+      // The other deterministic rejection: a configure (or a store that
+      // builds a bank) whose metric has no encoding. Same no-op.
     }
     last = record.seq;
   }

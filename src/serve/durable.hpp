@@ -1,27 +1,41 @@
 // Durable serving: WAL-fronted mutations, checkpoints, and recovery.
 //
-// DurableIndex wraps an AmIndex with the write-ahead protocol: every
-// synchronous mutation journals one WAL record *before* it applies, so
-// a crash at any instant is recoverable to the exact serialized state —
-// recovery (snapshot + replay) is bit-identical, currents and hits, to
-// the uninterrupted run. Asynchronous sessions journal through the same
-// log: hand wal() to AsyncAmIndex (AsyncOptions::wal), which appends at
-// admission under its submit mutex, so log order equals queue order
-// equals apply order.
+// DurableIndex wraps any snapshot-capable AmIndex — an EngineIndex, a
+// BankedIndex, or a whole ShardedIndex fleet — with the write-ahead
+// protocol: every synchronous mutation journals one WAL record *before*
+// it applies, so a crash at any instant is recoverable to the exact
+// serialized state — recovery (snapshot + replay) is bit-identical,
+// currents and hits, to the uninterrupted run. Asynchronous sessions
+// journal through the same log: hand wal() to AsyncAmIndex
+// (AsyncOptions::wal), which appends at admission under its submit
+// mutex, so log order equals queue order equals apply order.
 //
-//   serve::EngineIndex index(options);
+//   serve::EngineIndex index(options);                  // or a fleet
 //   serve::DurableIndex durable(index, "/data/ferex");   // recovers
 //   durable.configure(csp::DistanceMetric::kHamming, 2); // journaled
 //   durable.store(db);                                   // journaled
 //   durable.insert(vec);  durable.remove(3);             // journaled
 //   durable.checkpoint();  // snapshot + WAL rotation
 //
+// A directory holds <dir>/snapshot.ferex (snapshot.hpp) and
+// <dir>/wal.ferex (wal.hpp), whatever the backend. A fleet journals in
+// global row coordinates, the arguments of its own entry points, so a
+// fleet-wide configure() or store() is one record and therefore atomic:
+// recovery never sees some shards reconfigured and others not. The
+// fleet's topology is checked when a snapshot is installed; a directory
+// holding only a WAL pins no options, for a fleet as for a single
+// index. A directory in the removed per-shard fleet layout
+// (manifest.ferex plus shard-<s>/) is refused with SnapshotMismatch.
+//
 // Failed mutations are journaled too (the record lands before
-// validation inside the backend): replay re-applies the record, fails
-// with the same typed error, and swallows it — exactly the no-op the
-// live run saw. Compaction is not journaled; it checkpoints instead
-// (the snapshot captures the compacted layout, provably bit-identical
-// to a fresh store() of the survivors).
+// validation inside the backend): replay re-applies the record through
+// the same entry point, fails with the same typed error (a
+// std::logic_error, or core::InfeasibleEncoding for a metric with no
+// encoding), and swallows it — exactly the no-op the live run saw,
+// since every backend rejects before it changes anything. Compaction is not journaled;
+// it checkpoints instead (the snapshot captures the compacted layout,
+// provably bit-identical to a fresh store() of the survivors). A fleet
+// does not compact: its routing formula fixes every row's shard slot.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +61,8 @@ struct DurableOptions {
 /// freshly constructed index. Returns the last applied sequence number
 /// (0 when the directory holds no state — a cold start). Throws
 /// encode::CorruptSnapshot / CorruptLog / SnapshotMismatch on damage
-/// that truncation cannot explain.
+/// that truncation cannot explain, and SnapshotMismatch on a directory
+/// in the removed per-shard fleet layout.
 std::uint64_t recover_index(AmIndex& index, const std::string& dir);
 
 class DurableIndex {
@@ -75,7 +90,7 @@ class DurableIndex {
 
   /// Tombstone compaction (backend compact(), bit-identical to a fresh
   /// store() of the survivors) followed by a checkpoint. Returns the
-  /// slots reclaimed.
+  /// slots reclaimed. Throws std::invalid_argument on a fleet.
   std::size_t compact();
 
   /// Last journaled sequence number (every earlier record is applied or

@@ -41,6 +41,17 @@ std::vector<std::uint8_t> shard_live_mask(const AmIndex& shard) {
   return mask;
 }
 
+/// Throws std::out_of_range, changing nothing, if a live row of the
+/// shard holds a value outside [0, alphabet).
+void check_shard_values(const AmIndex& shard, std::size_t alphabet) {
+  if (const auto* engine = dynamic_cast<const EngineIndex*>(&shard)) {
+    engine->engine().check_stored_values(alphabet);
+    return;
+  }
+  dynamic_cast<const BankedIndex&>(shard).banked().check_stored_values(
+      alphabet);
+}
+
 }  // namespace
 
 ShardedIndex::ShardedIndex(ShardedOptions options) : options_(options) {
@@ -106,10 +117,19 @@ std::size_t ShardedIndex::dims() const noexcept {
 }
 
 void ShardedIndex::do_configure(csp::DistanceMetric metric, int bits) {
+  // Nothing may change unless every shard accepts. Bad bits throw here;
+  // a stored value outside the new alphabet (in any shard) throws from
+  // the check below, before any shard re-encodes; and the shards share
+  // one encoder, so an infeasible encoding throws at shard 0 — which
+  // holds rows whenever any shard does (global row 0 routes to it) —
+  // before any shard changes.
+  const std::size_t alphabet =
+      csp::DistanceMatrix::make(metric, bits).stored_count();
+  for (const auto& shard : shards_) check_shard_values(*shard, alphabet);
+  for (auto& shard : shards_) shard->configure(metric, bits);
   metric_ = metric;
   bits_ = bits;
   configured_ = true;
-  for (auto& shard : shards_) shard->configure(metric, bits);
 }
 
 void ShardedIndex::do_store(const std::vector<std::vector<int>>& database) {
@@ -126,8 +146,8 @@ void ShardedIndex::do_store(const std::vector<std::vector<int>>& database) {
   // Validate every slice against one scratch shard first (same geometry
   // as every real shard — only the seed differs), so a bad row leaves
   // the served fleet untouched; then restore the real shards in place.
-  // In place matters: per-shard WAL handles and async sessions hold
-  // references to the shard objects, so store must never swap them out.
+  // In place matters: async sessions hold references to the shard
+  // objects, so store must never swap them out.
   auto probe = make_shard(0);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     if (slices[s].empty()) continue;
@@ -387,25 +407,6 @@ SearchResponse ShardedIndex::search_shard(std::size_t shard,
 
 void ShardedIndex::rebuild_routing() {
   check_mutable("rebuild_routing");
-  // Recovery replays configure into each shard, not through this layer:
-  // adopt the cache from any configured shard (they all agree — a fleet
-  // configures as one).
-  for (const auto& shard : shards_) {
-    const auto* engine = dynamic_cast<const EngineIndex*>(shard.get());
-    if (engine != nullptr && engine->engine().configured()) {
-      metric_ = engine->engine().metric();
-      bits_ = engine->engine().bits();
-      configured_ = true;
-      break;
-    }
-    const auto* banked = dynamic_cast<const BankedIndex*>(shard.get());
-    if (banked != nullptr && banked->banked().configured()) {
-      metric_ = banked->banked().metric();
-      bits_ = banked->banked().bits();
-      configured_ = true;
-      break;
-    }
-  }
   free_rows_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto mask = shard_live_mask(*shards_[s]);

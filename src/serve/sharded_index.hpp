@@ -3,9 +3,12 @@
 // One AmIndex owns one engine or one banked array, so capacity is
 // bounded by a single search fan-out and (async) a single write queue.
 // ShardedIndex scales out: it owns N full AmIndex shards (EngineIndex
-// or BankedIndex each) behind the same serving API, so callers —
-// including DurableIndex-per-shard composition and the per-shard async
-// front door (AsyncShardedIndex) — need no new protocol.
+// or BankedIndex each) behind the same serving API, so callers need no
+// new protocol: DurableIndex wraps a fleet like any other AmIndex (one
+// WAL in global row coordinates and one snapshot per fleet, so a
+// fleet-wide configure() or store() is one atomic record), and
+// AsyncAmIndex or the per-shard async front door (AsyncShardedIndex)
+// serve it.
 //
 // Row routing is arithmetic, not a lookup table. Global rows split into
 // `shard_block`-sized blocks dealt round-robin across shards:
@@ -98,7 +101,7 @@ class ShardedIndex final : public AmIndex {
            0x9e3779b9ull * static_cast<std::uint64_t>(shard);
   }
 
-  // -- routing (pure arithmetic; public for tests and durability) --
+  // -- routing (pure arithmetic; public for tests and the async shadow) --
   std::size_t shard_of(std::size_t global_row) const noexcept {
     return (global_row / options_.shard_block) % options_.shards;
   }
@@ -123,9 +126,7 @@ class ShardedIndex final : public AmIndex {
   const AmIndex& shard(std::size_t s) const { return *shards_.at(s); }
 
   /// Where the next insert() goes: {shard, global row}. Reuses the
-  /// lowest freed global row before appending at stored_count(). For
-  /// durability layers that must journal an op's destination before
-  /// applying it.
+  /// lowest freed global row before appending at stored_count().
   std::pair<std::size_t, std::size_t> next_insert_target() const;
 
   /// Freed (removed, not yet reused) global rows, lowest first.
@@ -141,11 +142,9 @@ class ShardedIndex final : public AmIndex {
   SearchResponse search_shard(std::size_t shard,
                               const SearchRequest& request);
 
-  /// Re-derives routing state (free rows, configure cache) from the
-  /// shards' own contents, after a durability layer has recovered each
-  /// shard in place. Guarded like a mutation. Throws SnapshotMismatch
-  /// (from the durable layer's checks) callers detect separately; here
-  /// the only requirement is that every shard is a dense routing image.
+  /// Re-derives the freed-row set from the shards' live masks, after a
+  /// snapshot install configured the fleet and restored each shard in
+  /// place. Guarded like a mutation.
   void rebuild_routing();
 
   std::size_t stored_count() const noexcept override;

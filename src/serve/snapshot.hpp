@@ -14,19 +14,31 @@
 //   magic "FEREXSNP" | u32 version (2) | u32 crc(payload) | u64 payload size
 //   payload: u8 backend kind, u8 fidelity, u8 composite, u32 metric,
 //            u32 bits, u64 wal watermark, u64 serving query serial,
-//            backend state (engine: geometry + database + live mask +
-//            rng + fabrication arrays; banked: bank_rows + per-bank
-//            offsets and engine states)
+//            backend state:
+//     engine:  geometry + database + live mask + rng + fabrication arrays
+//     banked:  u64 bank_rows | u64 banks | per bank: u64 offset, engine state
+//     sharded: u64 shards | u64 shard_block | u8 shard backend |
+//              u64 bank_rows | per shard, in shard order: its engine
+//              state, or (banked shards) u64 banks + per-bank offset
+//              and engine state
+//
+// A fleet records metric and bits once, in the common header: it
+// configures as one, so a snapshot of a fleet of mixed metrics cannot
+// be written. Its freed-row set is not stored; install re-derives it
+// from the shards' live masks.
 //
 // Error taxonomy: any malformed byte (truncation, oversize, bit flip)
 // is a typed encode::CorruptSnapshot naming the offset; a *valid*
-// snapshot taken under a different backend, fidelity, or geometry is a
-// typed SnapshotMismatch naming what differs. Never UB, never a
-// silently wrong index.
+// snapshot taken under a different backend, fidelity, geometry, or
+// fleet topology (shards, shard_block, shard backend, bank_rows) is a
+// typed SnapshotMismatch naming the field that differs. Never UB, never
+// a silently wrong index.
 //
 // Options are not serialized: the caller constructs the index with the
-// deployment's own FerexOptions/BankedOptions; load re-runs configure()
-// with the recorded metric/bits before installing state.
+// deployment's own FerexOptions/BankedOptions/ShardedOptions; load
+// re-runs configure() with the recorded metric/bits before installing
+// state. The geometry and topology checks run at install, so they pin
+// options only once a directory holds a snapshot.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +60,10 @@ class SnapshotMismatch : public std::runtime_error {  // ferex-lint: allow(rejec
       : std::runtime_error("snapshot mismatch: " + what) {}
 };
 
-/// Serializes the full state of an EngineIndex or BankedIndex (other
-/// backends throw std::invalid_argument). `wal_watermark` is the last
-/// WAL sequence number already reflected in this state.
+/// Serializes the full state of an EngineIndex, BankedIndex, or
+/// ShardedIndex fleet (other backends throw std::invalid_argument).
+/// `wal_watermark` is the last WAL sequence number already reflected in
+/// this state.
 std::vector<std::uint8_t> encode_snapshot(const AmIndex& index,
                                           std::uint64_t wal_watermark);
 
@@ -58,7 +71,7 @@ std::vector<std::uint8_t> encode_snapshot(const AmIndex& index,
 /// the matching backend kind, re-running configure() with the recorded
 /// metric/bits. Returns the WAL watermark. Throws encode::CorruptSnapshot
 /// on malformed bytes, SnapshotMismatch on a wrong-backend/fidelity/
-/// geometry snapshot.
+/// geometry/topology snapshot.
 std::uint64_t install_snapshot(AmIndex& index,
                                const std::vector<std::uint8_t>& bytes);
 

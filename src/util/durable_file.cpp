@@ -111,12 +111,11 @@ void atomic_write_file(const std::string& path,
   atomic_write_file(path, data.data(), data.size());
 }
 
-void ensure_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) != 0) {
-    if (errno == EEXIST) return;
-    fail(path, "mkdir");
-  }
-  fsync_dir(parent_dir(path));
+bool path_exists(const std::string& path) {
+  struct ::stat info {};
+  if (::stat(path.c_str(), &info) == 0) return true;
+  if (errno != ENOENT) fail(path, "stat");
+  return false;
 }
 
 void truncate_file(const std::string& path, std::uint64_t size) {

@@ -10,8 +10,8 @@
 //    complete new file visible — never a torn hybrid.
 //  - AppendFile: append-only handle with an explicit fsync policy, used
 //    for the write-ahead log.
-//  - read_file()/truncate_file()/remove_file(): the recovery-side
-//    counterparts.
+//  - read_file()/path_exists()/truncate_file()/remove_file(): the
+//    recovery-side counterparts.
 //
 // Failures surface as std::system_error carrying errno and the path.
 #pragma once
@@ -41,11 +41,9 @@ void atomic_write_file(const std::string& path, const std::uint8_t* data,
 void atomic_write_file(const std::string& path,
                        const std::vector<std::uint8_t>& data);
 
-/// Creates `path` as a directory (parent must exist) and fsyncs the
-/// parent so the new entry survives a crash. No-op when the directory
-/// already exists. Used by the sharded durability layer to lay out its
-/// per-shard subdirectories.
-void ensure_directory(const std::string& path);
+/// True when `path` names an existing file or directory; throws
+/// std::system_error on any failure other than its absence.
+bool path_exists(const std::string& path);
 
 /// Truncates `path` to `size` bytes (used to drop a torn WAL tail).
 void truncate_file(const std::string& path, std::uint64_t size);

@@ -1,3 +1,3 @@
-// Seeded orphan-failpoint fixture: the site below appears in neither
-// crash sweep, so the fault-injection coverage rule must fire.
+// Seeded orphan-failpoint fixture: the site below is named only outside
+// the crash sweep, so the fault-injection coverage rule must fire.
 void risky_write() { failpoint_hit("fixture.orphan.site"); }

@@ -111,6 +111,35 @@ TEST(BankedAmT, WorksWithCompositeEncodingAcrossBanks) {
   EXPECT_THROW(am.store(db), std::runtime_error);
 }
 
+TEST(BankedAmT, RejectedConfigureOrStoreChangesNoBank) {
+  BankedAm am(exact_banked(2));
+  am.configure(DistanceMetric::kHamming, 2);
+  // Two banks; only the second holds a value outside a 1-bit alphabet.
+  am.store({{0, 1}, {1, 0}, {1, 1}, {0, 3}});
+  ASSERT_EQ(am.bank_count(), 2u);
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(am.metric(), DistanceMetric::kHamming);
+    EXPECT_EQ(am.bits(), 2);
+    EXPECT_EQ(am.bank(0).bits(), 2);
+    EXPECT_EQ(am.bank(1).bits(), 2);
+    EXPECT_EQ(am.stored_count(), 4u);
+    EXPECT_EQ(am.bank_count(), 2u);
+  };
+  EXPECT_THROW(am.configure(DistanceMetric::kHamming, 1), std::out_of_range);
+  expect_unchanged();
+  EXPECT_THROW(am.configure(DistanceMetric::kEuclideanSquared, 3),
+               core::InfeasibleEncoding);
+  expect_unchanged();
+  // A rejected row in the last bank keeps the stored banks.
+  EXPECT_THROW(am.store({{0, 1}, {1, 0}, {2, 9}}), std::out_of_range);
+  expect_unchanged();
+
+  am.update(3, std::vector<int>{0, 1});
+  am.configure(DistanceMetric::kHamming, 1);
+  EXPECT_EQ(am.bank(0).bits(), 1);
+  EXPECT_EQ(am.bank(1).bits(), 1);
+}
+
 TEST(BankedAmT, LifecycleGuards) {
   BankedAm am(exact_banked(4));
   const std::vector<int> q{0};

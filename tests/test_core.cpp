@@ -162,6 +162,37 @@ TEST(FerexEngine, InfeasibleConfigurationThrows) {
                std::runtime_error);
 }
 
+TEST(FerexEngine, RejectedConfigureOrStoreChangesNothing) {
+  FerexEngine engine{FerexOptions{}};  // with variation: a re-program shows
+  engine.configure(DistanceMetric::kHamming, 2);
+  engine.store(toy_database());
+  const std::vector<int> query{1, 2, 3, 0};
+  const auto before = engine.search_hits_at(query, 3, 0);
+  const auto expect_unchanged = [&] {
+    EXPECT_EQ(engine.metric(), DistanceMetric::kHamming);
+    EXPECT_EQ(engine.bits(), 2);
+    EXPECT_EQ(engine.stored_count(), toy_database().size());
+    const auto after = engine.search_hits_at(query, 3, 0);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].global_row, before[i].global_row);
+      EXPECT_EQ(after[i].sensed_current_a, before[i].sensed_current_a);
+    }
+  };
+  // Stored values reach 3, outside a 1-bit alphabet.
+  EXPECT_THROW(engine.configure(DistanceMetric::kManhattan, 1),
+               std::out_of_range);
+  expect_unchanged();
+  EXPECT_THROW(engine.configure(DistanceMetric::kManhattan, 0),
+               std::invalid_argument);
+  expect_unchanged();
+  EXPECT_THROW(engine.configure(DistanceMetric::kEuclideanSquared, 3),
+               InfeasibleEncoding);
+  expect_unchanged();
+  EXPECT_THROW(engine.store({{0, 1, 2, 4}}), std::out_of_range);
+  expect_unchanged();
+}
+
 TEST(FerexEngine, EncoderReportExposed) {
   FerexEngine engine(noiseless_options());
   engine.configure(DistanceMetric::kHamming, 2);

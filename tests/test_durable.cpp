@@ -10,9 +10,14 @@
 //     tail — the signature of a crash mid-append — recovers by
 //     truncation;
 //   * recovery (snapshot + WAL replay past the watermark) reproduces the
-//     uninterrupted run bit for bit, on both backends, both fidelities,
-//     through the sync and async front doors, with a crash injected at
-//     every record boundary — including a literal kill-the-child test;
+//     uninterrupted run bit for bit, on both backends and a sharded
+//     fleet of engine or banked shards, both fidelities, through the
+//     sync and async front doors, with a crash injected at every record
+//     boundary — a reconfigure of the populated index and two rejected
+//     ones included — and in a literal kill-the-child test;
+//   * a fleet snapshot pins its topology (a disagreement is a typed
+//     SnapshotMismatch naming the field), and a directory in the removed
+//     per-shard fleet layout is refused, never cold-started over;
 //   * tombstone compaction is bit-identical to a fresh store() of the
 //     survivors.
 #include <gtest/gtest.h>
@@ -39,6 +44,7 @@
 #include "serve/banked_index.hpp"
 #include "serve/durable.hpp"
 #include "serve/engine_index.hpp"
+#include "serve/sharded_index.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/wal.hpp"
 #include "util/durable_file.hpp"
@@ -87,7 +93,26 @@ class ScopedDir {
   std::string path_;
 };
 
-enum class Backend { kEngine, kBanked };
+enum class Backend { kEngine, kBanked, kShardedEngine, kShardedBanked };
+
+/// The fleet the sharded parameters run: 3 shards dealt in blocks of 2
+/// rows; banked shards hold 2-row banks, so a shard spans banks once it
+/// holds 3 rows.
+serve::ShardedOptions fleet_options(SearchFidelity fidelity,
+                                    serve::ShardBackend shard_backend) {
+  serve::ShardedOptions opt;
+  opt.shards = 3;
+  opt.shard_block = 2;
+  opt.backend = shard_backend;
+  opt.bank_rows = 2;
+  opt.engine.fidelity = fidelity;
+  return opt;
+}
+
+bool is_fleet(Backend backend) {
+  return backend == Backend::kShardedEngine ||
+         backend == Backend::kShardedBanked;
+}
 
 /// A fresh, unconfigured index of the given shape — what a restart
 /// constructs before recovery/installation runs.
@@ -97,6 +122,12 @@ std::unique_ptr<serve::AmIndex> make_empty(Backend backend,
     core::FerexOptions opt;
     opt.fidelity = fidelity;
     return std::make_unique<serve::EngineIndex>(opt);
+  }
+  if (is_fleet(backend)) {
+    return std::make_unique<serve::ShardedIndex>(fleet_options(
+        fidelity, backend == Backend::kShardedEngine
+                      ? serve::ShardBackend::kEngine
+                      : serve::ShardBackend::kBanked));
   }
   arch::BankedOptions opt;
   opt.bank_rows = 3;
@@ -123,6 +154,12 @@ void expect_same_state(serve::AmIndex& a, serve::AmIndex& b,
   ASSERT_EQ(a.stored_count(), b.stored_count());
   ASSERT_EQ(a.live_count(), b.live_count());
   EXPECT_EQ(a.query_serial(), b.query_serial());
+  if (const auto* fleet = dynamic_cast<const serve::ShardedIndex*>(&a)) {
+    const auto& other = dynamic_cast<const serve::ShardedIndex&>(b);
+    EXPECT_EQ(fleet->configured(), other.configured());
+    EXPECT_EQ(fleet->metric(), other.metric());
+    EXPECT_EQ(fleet->free_rows(), other.free_rows());
+  }
   if (a.live_count() == 0) return;
   const std::size_t k = std::min<std::size_t>(3, a.live_count());
   for (const auto& q : queries) {
@@ -342,30 +379,144 @@ TEST(SnapshotMismatchT, WrongBackendFidelityOrGeometryIsTyped) {
   }
 }
 
-TEST(SnapshotFuzzT, EveryByteFlipAndTruncationIsTypedNeverSilent) {
-  const auto db = data::random_int_vectors(4, 4, 4, 1008);
-  const auto valid = serve::encode_snapshot(
-      *make_index(Backend::kEngine, SearchFidelity::kCircuit, db), 5);
-
-  // Single-bit flips at every byte offset: the envelope checks (magic,
-  // version, size) or the payload CRC must catch every one of them —
-  // install throws a typed error and never yields a silently wrong index.
-  for (std::size_t i = 0; i < valid.size(); ++i) {
-    auto mutated = valid;
-    mutated[i] ^= 0x01;
-    auto target = make_empty(Backend::kEngine, SearchFidelity::kCircuit);
-    SCOPED_TRACE("flip at byte " + std::to_string(i));
-    EXPECT_THROW(serve::install_snapshot(*target, mutated),
-                 encode::CorruptSnapshot);
+TEST(SnapshotMismatchT, FleetTopologyIsPinnedOnceASnapshotExists) {
+  const auto db = data::random_int_vectors(6, 4, 4, 1031);
+  const auto options =
+      fleet_options(SearchFidelity::kCircuit, serve::ShardBackend::kBanked);
+  ScopedDir dir;
+  {
+    serve::ShardedIndex live(options);
+    serve::DurableIndex durable(live, dir.path());
+    durable.configure(DistanceMetric::kHamming, 2);
+    durable.store(db);
+    // A directory holding only a WAL pins no options, for a fleet as for
+    // a single index: a fleet of another width replays the same records.
+    auto wider_options = options;
+    wider_options.shards = 4;
+    serve::ShardedIndex wider(wider_options);
+    EXPECT_EQ(serve::recover_index(wider, dir.path()), 2u);
+    EXPECT_EQ(wider.stored_count(), db.size());
+    durable.checkpoint();
   }
 
-  // Truncation at every length.
-  for (std::size_t len = 0; len < valid.size(); ++len) {
-    std::vector<std::uint8_t> cut(valid.begin(), valid.begin() + len);
-    auto target = make_empty(Backend::kEngine, SearchFidelity::kCircuit);
-    SCOPED_TRACE("truncated to " + std::to_string(len));
-    EXPECT_THROW(serve::install_snapshot(*target, cut),
-                 encode::CorruptSnapshot);
+  const auto expect_mismatch = [&](serve::AmIndex& index,
+                                   const std::string& field) {
+    SCOPED_TRACE(field);
+    try {
+      serve::DurableIndex durable(index, dir.path());
+      FAIL() << "a snapshot of another " << field << " must be refused";
+    } catch (const serve::SnapshotMismatch& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  {
+    auto wrong = options;
+    wrong.shards = 2;
+    serve::ShardedIndex fleet(wrong);
+    expect_mismatch(fleet, "shards");
+  }
+  {
+    auto wrong = options;
+    wrong.shard_block = 4;
+    serve::ShardedIndex fleet(wrong);
+    expect_mismatch(fleet, "shard_block");
+  }
+  {
+    auto wrong = options;
+    wrong.backend = serve::ShardBackend::kEngine;
+    serve::ShardedIndex fleet(wrong);
+    expect_mismatch(fleet, "shard backend");
+  }
+  {
+    auto wrong = options;
+    wrong.bank_rows = 3;
+    serve::ShardedIndex fleet(wrong);
+    expect_mismatch(fleet, "bank_rows");
+  }
+  {
+    serve::ShardedIndex fleet(fleet_options(SearchFidelity::kNominal,
+                                            serve::ShardBackend::kBanked));
+    expect_mismatch(fleet, "fidelity");
+  }
+  {
+    auto engine = make_empty(Backend::kEngine, SearchFidelity::kCircuit);
+    expect_mismatch(*engine, "sharded fleet");
+  }
+  serve::ShardedIndex same(options);
+  serve::DurableIndex durable(same, dir.path());
+  EXPECT_EQ(same.stored_count(), db.size());
+  EXPECT_EQ(same.metric(), DistanceMetric::kHamming);
+}
+
+TEST(SnapshotMismatchT, RemovedPerShardFleetLayoutIsRefused) {
+  for (const std::string entry : {"manifest.ferex", "shard-0"}) {
+    SCOPED_TRACE(entry);
+    ScopedDir dir;
+    const std::string path = dir.path() + "/" + entry;
+    if (entry == "shard-0") {
+      ASSERT_TRUE(std::filesystem::create_directory(path));
+    } else {
+      util::atomic_write_file(path, std::vector<std::uint8_t>{1, 2, 3});
+    }
+    serve::ShardedIndex fleet(fleet_options(SearchFidelity::kNominal,
+                                            serve::ShardBackend::kBanked));
+    try {
+      serve::DurableIndex durable(fleet, dir.path());
+      FAIL() << "the old layout must be refused, not cold-started over";
+    } catch (const serve::SnapshotMismatch& error) {
+      EXPECT_NE(std::string(error.what()).find("per-shard fleet layout"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir.path() + "/wal.ferex"));
+  }
+}
+
+TEST(SnapshotFuzzT, EveryByteFlipAndTruncationIsTypedNeverSilent) {
+  const auto db = data::random_int_vectors(4, 4, 4, 1008);
+  // A single macro, and a fleet of engine shards — whose topology and
+  // per-shard sections (shard 2 holds no rows) the flips land in too.
+  const auto engine_fleet =
+      fleet_options(SearchFidelity::kCircuit, serve::ShardBackend::kEngine);
+  const auto make_target = [&](bool fleet) -> std::unique_ptr<serve::AmIndex> {
+    if (fleet) return std::make_unique<serve::ShardedIndex>(engine_fleet);
+    return make_empty(Backend::kEngine, SearchFidelity::kCircuit);
+  };
+  std::vector<std::uint8_t> valid;
+  for (const bool fleet : {false, true}) {
+    SCOPED_TRACE(fleet ? "fleet snapshot" : "engine snapshot");
+    auto source = make_target(fleet);
+    source->configure(DistanceMetric::kHamming, 2);
+    source->store(db);
+    valid = serve::encode_snapshot(*source, 5);
+
+    // Single-bit flips at every byte offset: the envelope checks (magic,
+    // version, size) or the payload CRC must catch every one of them —
+    // install throws a typed error and never yields a silently wrong
+    // index.
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      auto mutated = valid;
+      mutated[i] ^= 0x01;
+      auto target = make_target(fleet);
+      SCOPED_TRACE("flip at byte " + std::to_string(i));
+      EXPECT_THROW(serve::install_snapshot(*target, mutated),
+                   encode::CorruptSnapshot);
+    }
+
+    // Truncation at every length.
+    for (std::size_t len = 0; len < valid.size(); ++len) {
+      std::vector<std::uint8_t> cut(valid.begin(), valid.begin() + len);
+      auto target = make_target(fleet);
+      SCOPED_TRACE("truncated to " + std::to_string(len));
+      EXPECT_THROW(serve::install_snapshot(*target, cut),
+                   encode::CorruptSnapshot);
+    }
+
+    // The intact bytes still install.
+    auto target = make_target(fleet);
+    EXPECT_EQ(serve::install_snapshot(*target, valid), 5u);
+    EXPECT_EQ(target->stored_count(), db.size());
   }
 
   // A version-1 envelope (whose payload still carried per-backend query
@@ -373,7 +524,7 @@ TEST(SnapshotFuzzT, EveryByteFlipAndTruncationIsTypedNeverSilent) {
   auto version_1 = valid;
   const std::uint8_t v1_le[4] = {1, 0, 0, 0};
   std::copy(std::begin(v1_le), std::end(v1_le), version_1.begin() + 8);
-  auto target = make_empty(Backend::kEngine, SearchFidelity::kCircuit);
+  auto target = make_target(true);
   try {
     serve::install_snapshot(*target, version_1);
     FAIL() << "a version-1 snapshot must be rejected";
@@ -688,6 +839,13 @@ TEST_P(DurableParityT, CompactionIsBitIdenticalToAFreshStoreOfSurvivors) {
   durable.store(db);
   durable.remove(1);
   durable.remove(4);
+  if (is_fleet(backend)) {
+    // The routing formula fixes every row's shard slot, so a fleet
+    // refuses to compact, before anything is checkpointed.
+    EXPECT_THROW(durable.compact(), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(durable.snapshot_path()));
+    return;
+  }
   EXPECT_EQ(durable.compact(), 2u);
   EXPECT_EQ(live->stored_count(), 5u);
   EXPECT_EQ(live->live_count(), 5u);
@@ -717,10 +875,14 @@ TEST_P(DurableParityT, CompactionIsBitIdenticalToAFreshStoreOfSurvivors) {
 /// in-process (the kill-child test below does it with a real _exit).
 struct CrashSim {};
 
-constexpr std::uint64_t kScriptSeqs = 8;
+constexpr std::uint64_t kScriptSeqs = 11;
 
-/// The crash-sweep workload: configure, store, then six interleaved
-/// writes — seq numbers 1..8 — with a checkpoint after seq 4 when
+/// The crash-sweep workload: configure, store, a remove and an insert,
+/// a reconfigure of the populated index (Hamming to Manhattan, every
+/// stored row re-encoded; on a fleet, every shard), two rejected
+/// reconfigures (a metric with no encoding, and an alphabet too narrow
+/// for the stored rows: journaled, then replayed as no-ops), then four
+/// more writes — seq numbers 1..11 — with a checkpoint after seq 5 when
 /// `with_checkpoint` (checkpoints are logically transparent, so the
 /// reference replays the same prefix without one). `limit` cuts the
 /// script short for prefix references.
@@ -739,7 +901,23 @@ void run_script(serve::DurableIndex& durable, std::uint64_t limit,
   step([&] { durable.store(db); });
   step([&] { durable.remove(1); });
   step([&] { durable.insert(fresh[0]); });
-  if (with_checkpoint && seq == 4) durable.checkpoint();
+  step([&] { durable.configure(DistanceMetric::kManhattan, 2); });
+  if (with_checkpoint && seq == 5) durable.checkpoint();
+  // Not EXPECT_THROW: an injected crash must propagate, not be counted.
+  step([&] {
+    try {
+      durable.configure(DistanceMetric::kEuclideanSquared, 3);
+      ADD_FAILURE() << "3-bit Euclidean has no encoding";
+    } catch (const core::InfeasibleEncoding&) {
+    }
+  });
+  step([&] {
+    try {
+      durable.configure(DistanceMetric::kManhattan, 1);
+      ADD_FAILURE() << "stored values reach 3, outside a 1-bit alphabet";
+    } catch (const std::out_of_range&) {
+    }
+  });
   step([&] { durable.update(3, fresh[1]); });
   step([&] { durable.remove(0); });
   step([&] { durable.insert(fresh[2]); });
@@ -873,13 +1051,18 @@ TEST(KillChildT, RecoversBitIdenticalAfterHardProcessDeath) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, DurableParityT,
-    ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked),
+    ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked,
+                                         Backend::kShardedEngine,
+                                         Backend::kShardedBanked),
                        ::testing::Values(SearchFidelity::kCircuit,
                                          SearchFidelity::kNominal)),
     [](const auto& info) {
-      std::string name = std::get<0>(info.param) == Backend::kEngine
-                             ? "Engine"
-                             : "Banked";
+      const Backend backend = std::get<0>(info.param);
+      std::string name = backend == Backend::kEngine   ? "Engine"
+                         : backend == Backend::kBanked ? "Banked"
+                         : backend == Backend::kShardedEngine
+                             ? "ShardedEngine"
+                             : "ShardedBanked";
       name += std::get<1>(info.param) == SearchFidelity::kCircuit
                   ? "Circuit"
                   : "Nominal";

@@ -157,6 +157,8 @@ TEST(FerexLintGraph, FlagsRejectReasonUnmapped) {
 }
 
 TEST(FerexLintGraph, FlagsOrphanFailpoint) {
+  // The fixture also names the site in a tests/test_sharded.cpp, which
+  // is not a crash sweep and must not cover it.
   expect_graph_violation("orphan_failpoint", "orphan-failpoint",
                          "fixture.orphan.site");
 }

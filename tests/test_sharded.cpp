@@ -1,6 +1,7 @@
 // Tests for sharded scatter-gather serving: arithmetic row routing,
-// cross-shard merge + margin reconstruction, shard-local async write
-// queues, and per-shard durability under a fleet manifest. The
+// cross-shard merge + margin reconstruction, and shard-local async write
+// queues. (A durable fleet is a DurableIndex over the ShardedIndex; its
+// recovery and crash sweeps run in tests/test_durable.cpp.) The
 // load-bearing claims:
 //
 //   * routing is pure arithmetic and dense: shard_of/to_local/to_global
@@ -15,13 +16,11 @@
 //     stream) — both backends, both fidelities, sync and async;
 //   * a fully deleted shard is skipped outright (no search, no noise
 //     draws) and EmptyIndex fires only when every shard is empty;
+//   * a rejected reconfigure changes no shard, even when only a later
+//     shard holds the value the new alphabet cannot;
 //   * a delete/insert/overwrite interleave serves bit-identically to a
 //     fresh store() of the surviving layout;
-//   * DurableShardedIndex recovers the fleet bit-identically, types
-//     every topology/manifest mismatch — including any flipped or
-//     truncated manifest byte — as SnapshotMismatch, and
-//     survives a crash injected at the manifest-write failpoints of a
-//     3-shard fleet.
+//   * AsyncShardedIndex refuses a WAL instead of silently dropping it.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -41,12 +40,10 @@
 #include "data/datasets.hpp"
 #include "serve/async_sharded.hpp"
 #include "serve/banked_index.hpp"
-#include "serve/durable_sharded.hpp"
 #include "serve/engine_index.hpp"
 #include "serve/sharded_index.hpp"
-#include "serve/snapshot.hpp"
+#include "serve/wal.hpp"
 #include "util/durable_file.hpp"
-#include "util/failpoint.hpp"
 
 namespace ferex {
 namespace {
@@ -302,30 +299,6 @@ serve::SearchRequest request(const std::vector<int>& query, std::size_t k) {
   return r;
 }
 
-/// Asserts two fleets are in bit-identical serving state: counts, free
-/// rows, a pinned-ordinal query sweep, and — the variation-RNG
-/// continuation — a probe insert landing and serving identically.
-void expect_same_fleet_state(serve::ShardedIndex& a, serve::ShardedIndex& b,
-                             const std::vector<std::vector<int>>& queries,
-                             const std::vector<int>& probe) {
-  ASSERT_EQ(a.stored_count(), b.stored_count());
-  ASSERT_EQ(a.live_count(), b.live_count());
-  EXPECT_EQ(a.free_rows(), b.free_rows());
-  EXPECT_EQ(a.configured(), b.configured());
-  if (a.live_count() == 0) return;
-  const std::size_t k = std::min<std::size_t>(3, a.live_count());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_identical(a.search_at(request(queries[i], k), 40 + i),
-                     b.search_at(request(queries[i], k), 40 + i));
-  }
-  const auto receipt_a = a.insert(probe);
-  const auto receipt_b = b.insert(probe);
-  EXPECT_EQ(receipt_a.global_row, receipt_b.global_row);
-  EXPECT_EQ(receipt_a.bank, receipt_b.bank);
-  expect_identical(a.search_at(request(queries.front(), k), 77),
-                   b.search_at(request(queries.front(), k), 77));
-}
-
 // ------------------------------------------------------------ routing --
 
 TEST(ShardedRoutingT, FormulaRoundTripsAndFillsShardsDensely) {
@@ -438,9 +411,72 @@ TEST(ShardedRoutingT, ValidationIsFleetLevel) {
   EXPECT_THROW(fleet->search_shard(1, request(db[0], 1)), serve::EmptyIndex);
   EXPECT_EQ(fleet->search(request(db[0], 1)).hits.size(), 1u);
 
+  // A rejected configure leaves the fleet's metric and bits as they were
+  // (a snapshot records them once per fleet).
+  EXPECT_THROW(fleet->configure(DistanceMetric::kManhattan, 0),
+               std::invalid_argument);
+  EXPECT_EQ(fleet->metric(), DistanceMetric::kHamming);
+  EXPECT_EQ(fleet->bits(), 2);
+
   serve::ShardedIndex empty{
       make_options(Backend::kEngine, SearchFidelity::kNominal, 2, 4)};
   EXPECT_THROW(empty.search(request(db[0], 1)), serve::EmptyIndex);
+  EXPECT_THROW(empty.configure(DistanceMetric::kHamming, 0),
+               std::invalid_argument);
+  EXPECT_FALSE(empty.configured());
+}
+
+TEST(ShardedRoutingT, DataDependentRejectedReconfigureChangesNoShard) {
+  // 3 shards in blocks of 2, 4 rows each; banked shards span two banks.
+  // Only the last row (shard 2, its second bank) holds a value outside
+  // a 1-bit alphabet, so shards 0 and 1 alone would accept the narrower
+  // configure — the fleet must not let them.
+  std::vector<std::vector<int>> db(12);
+  for (std::size_t g = 0; g < db.size(); ++g) {
+    db[g] = {static_cast<int>(g % 2), static_cast<int>(g / 2 % 2), 1, 0};
+  }
+  db.back() = {0, 1, 3, 0};
+  const std::vector<int> query{1, 0, 1, 1};
+  // Every engine's bits, shard by shard and bank by bank.
+  const auto engine_bits = [](const serve::ShardedIndex& fleet) {
+    std::vector<int> bits;
+    for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+      const auto& shard = fleet.shard(s);
+      if (const auto* engine =
+              dynamic_cast<const serve::EngineIndex*>(&shard)) {
+        bits.push_back(engine->engine().bits());
+        continue;
+      }
+      const auto& banked = dynamic_cast<const serve::BankedIndex&>(shard);
+      for (std::size_t b = 0; b < banked.banked().bank_count(); ++b) {
+        bits.push_back(banked.banked().bank(b).bits());
+      }
+    }
+    return bits;
+  };
+  for (const Backend backend : {Backend::kEngine, Backend::kBanked}) {
+    SCOPED_TRACE(backend == Backend::kEngine ? "engine shards"
+                                             : "banked shards");
+    auto fleet =
+        make_fleet(make_options(backend, SearchFidelity::kCircuit, 3, 2), db);
+    const auto bits_before = engine_bits(*fleet);
+    ASSERT_EQ(bits_before.size(), backend == Backend::kEngine ? 3u : 6u);
+    const auto before = fleet->search_at(request(query, db.size()), 0);
+
+    EXPECT_THROW(fleet->configure(DistanceMetric::kHamming, 1),
+                 std::out_of_range);
+    EXPECT_EQ(fleet->metric(), DistanceMetric::kHamming);
+    EXPECT_EQ(fleet->bits(), 2);
+    EXPECT_EQ(engine_bits(*fleet), bits_before);
+    // No shard re-encoded (a re-program would redraw device variation).
+    expect_identical(fleet->search_at(request(query, db.size()), 0), before);
+
+    // With the value gone the fleet reconfigures as one.
+    fleet->update(db.size() - 1, std::vector<int>{0, 1, 1, 0});
+    fleet->configure(DistanceMetric::kHamming, 1);
+    EXPECT_EQ(engine_bits(*fleet),
+              std::vector<int>(bits_before.size(), 1));
+  }
 }
 
 // ------------------------------------------------- sync bit-identity --
@@ -749,6 +785,21 @@ TEST_P(AsyncShardedT, SubmitValidatesAgainstTheExactShadow) {
   session.shutdown();  // idempotent
 }
 
+TEST_P(AsyncShardedT, AWalIsRefusedNotSilentlyDropped) {
+  const auto [backend, fidelity] = GetParam();
+  const auto db = data::random_int_vectors(6, 5, 4, 2035);
+  auto fleet = make_fleet(make_options(backend, fidelity, 3, 2), db);
+  ScopedDir dir;
+  serve::Wal wal(dir.path() + "/wal.ferex", util::SyncPolicy::kNever);
+  serve::AsyncOptions options;
+  options.wal = &wal;
+  EXPECT_THROW(serve::AsyncShardedIndex(*fleet, options),
+               std::invalid_argument);
+  // Refused before claiming anything: the fleet still serves directly.
+  EXPECT_EQ(fleet->search(request(db[0], 1)).best().global_row, 0u);
+  EXPECT_EQ(wal.next_seq(), 1u);
+}
+
 TEST_P(AsyncShardedT, EmptyFleetIsTypedAtSubmission) {
   const auto [backend, fidelity] = GetParam();
   serve::ShardedIndex fleet{make_options(backend, fidelity, 2, 2)};
@@ -761,319 +812,6 @@ TEST_P(AsyncShardedT, EmptyFleetIsTypedAtSubmission) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, AsyncShardedT,
-    ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked),
-                       ::testing::Values(SearchFidelity::kCircuit,
-                                         SearchFidelity::kNominal)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) == Backend::kEngine
-                             ? "Engine"
-                             : "Banked") +
-             (std::get<1>(info.param) == SearchFidelity::kCircuit ? "Circuit"
-                                                                  : "Nominal");
-    });
-
-// ----------------------------------------------------------- durable --
-
-class DurableShardedT
-    : public ::testing::TestWithParam<std::tuple<Backend, SearchFidelity>> {};
-
-TEST_P(DurableShardedT, RecoveryEqualsTheLiveFleet) {
-  const auto [backend, fidelity] = GetParam();
-  const auto db = data::random_int_vectors(7, 5, 4, 2040);
-  const auto queries = data::random_int_vectors(3, 5, 4, 2041);
-  const auto fresh = data::random_int_vectors(4, 5, 4, 2042);
-  const auto options = make_options(backend, fidelity, 3, 2);
-  ScopedDir dir;
-
-  serve::ShardedIndex live{options};
-  serve::DurableShardedIndex durable(live, dir.path());
-  durable.configure(DistanceMetric::kHamming, 2);
-  durable.store(db);
-  durable.remove(1);
-  durable.insert(fresh[0]);
-  durable.checkpoint();  // snapshot + WAL rotation per shard
-  durable.update(3, fresh[1]);
-  durable.remove(6);
-  live.search(request(queries[0], 2));  // advance the serial past the manifest
-
-  serve::ShardedIndex recovered{options};
-  serve::DurableShardedIndex durable2(recovered, dir.path());
-  // Search ordinals persist at manifest writes (configure/store/
-  // checkpoint), not per search — align before comparing, as the
-  // unsharded durable tests do.
-  recovered.set_query_serial(live.query_serial());
-  expect_same_fleet_state(live, recovered, queries, fresh[2]);
-}
-
-TEST_P(DurableShardedT, AsyncSessionJournalsIntoTheShardWals) {
-  const auto [backend, fidelity] = GetParam();
-  const auto db = data::random_int_vectors(7, 5, 4, 2043);
-  const auto queries = data::random_int_vectors(3, 5, 4, 2044);
-  const auto fresh = data::random_int_vectors(3, 5, 4, 2045);
-  const auto options = make_options(backend, fidelity, 3, 2);
-  ScopedDir dir;
-
-  serve::ShardedIndex live{options};
-  serve::DurableShardedIndex durable(live, dir.path());
-  durable.configure(DistanceMetric::kHamming, 2);
-  durable.store(db);
-  {
-    const auto wals = durable.shard_wals();
-    serve::AsyncShardedIndex session(live, {}, wals);
-    auto w1 = session.submit_insert(fresh[0]);
-    auto t1 = session.submit(request(queries[0], 2));
-    auto w2 = session.submit_remove(2);
-    auto w3 = session.submit_update(4, fresh[1]);
-    w1.get();
-    t1.get();
-    w2.get();
-    w3.get();
-    session.shutdown();
-  }
-
-  serve::ShardedIndex recovered{options};
-  serve::DurableShardedIndex durable2(recovered, dir.path());
-  recovered.set_query_serial(live.query_serial());
-  expect_same_fleet_state(live, recovered, queries, fresh[2]);
-}
-
-TEST(DurableShardedMismatchT, TopologyDisagreementIsTyped) {
-  const auto db = data::random_int_vectors(6, 5, 4, 2046);
-  ScopedDir dir;
-  const auto options =
-      make_options(Backend::kEngine, SearchFidelity::kCircuit, 3, 2);
-  {
-    serve::ShardedIndex live{options};
-    serve::DurableShardedIndex durable(live, dir.path());
-    durable.configure(DistanceMetric::kHamming, 2);
-    durable.store(db);
-  }
-  {
-    auto wrong = options;
-    wrong.shards = 2;
-    serve::ShardedIndex fleet{wrong};
-    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
-                 serve::SnapshotMismatch);
-  }
-  {
-    auto wrong = options;
-    wrong.shard_block = 4;
-    serve::ShardedIndex fleet{wrong};
-    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
-                 serve::SnapshotMismatch);
-  }
-  {
-    auto wrong = options;
-    wrong.backend = serve::ShardBackend::kBanked;
-    serve::ShardedIndex fleet{wrong};
-    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
-                 serve::SnapshotMismatch);
-  }
-}
-
-TEST(DurableShardedMismatchT, LostShardDirectoryAndLostManifestAreTyped) {
-  const auto db = data::random_int_vectors(6, 5, 4, 2047);
-  const auto options =
-      make_options(Backend::kEngine, SearchFidelity::kCircuit, 3, 2);
-  {
-    // A deleted shard directory cannot masquerade as a smaller fleet:
-    // the recovered image is no longer dense.
-    ScopedDir dir;
-    {
-      serve::ShardedIndex live{options};
-      serve::DurableShardedIndex durable(live, dir.path());
-      durable.configure(DistanceMetric::kHamming, 2);
-      durable.store(db);
-      durable.checkpoint();
-      std::filesystem::remove_all(durable.shard_dir(1));
-    }
-    serve::ShardedIndex fleet{options};
-    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
-                 serve::SnapshotMismatch);
-  }
-  {
-    // Shard state without a manifest can only be tampering: a cold
-    // start writes the manifest before any shard file exists.
-    ScopedDir dir;
-    std::string manifest;
-    {
-      serve::ShardedIndex live{options};
-      serve::DurableShardedIndex durable(live, dir.path());
-      durable.configure(DistanceMetric::kHamming, 2);
-      durable.store(db);
-      manifest = durable.manifest_path();
-    }
-    std::filesystem::remove(manifest);
-    serve::ShardedIndex fleet{options};
-    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
-                 serve::SnapshotMismatch);
-  }
-}
-
-TEST(DurableShardedMismatchT, EveryManifestByteFlipAndTruncationIsTyped) {
-  const auto db = data::random_int_vectors(6, 5, 4, 2051);
-  const auto options =
-      make_options(Backend::kEngine, SearchFidelity::kNominal, 2, 2);
-  ScopedDir dir;
-  std::string path;
-  {
-    serve::ShardedIndex live{options};
-    serve::DurableShardedIndex durable(live, dir.path());
-    durable.configure(DistanceMetric::kHamming, 2);
-    durable.store(db);
-    live.set_query_serial(5);
-    durable.checkpoint();
-    path = durable.manifest_path();
-  }
-  std::vector<std::uint8_t> valid;
-  ASSERT_TRUE(util::read_file(path, valid));
-
-  const auto expect_mismatch = [&](const std::vector<std::uint8_t>& bytes) {
-    util::atomic_write_file(path, bytes);
-    serve::ShardedIndex fleet{options};
-    EXPECT_THROW(serve::DurableShardedIndex(fleet, dir.path()),
-                 serve::SnapshotMismatch);
-  };
-  // A flip anywhere — topology, serial, checksum — is caught, never
-  // recovered as a different fleet or serial.
-  for (std::size_t i = 0; i < valid.size(); ++i) {
-    SCOPED_TRACE("flip at byte " + std::to_string(i));
-    auto mutated = valid;
-    mutated[i] ^= 0x40;
-    expect_mismatch(mutated);
-  }
-  for (std::size_t len = 0; len < valid.size(); ++len) {
-    SCOPED_TRACE("truncated to " + std::to_string(len));
-    expect_mismatch({valid.begin(), valid.begin() + len});
-  }
-
-  // A version-1 manifest (no checksum, stale per-shard row counts) is
-  // rejected by name rather than misparsed.
-  auto version_1 = valid;
-  version_1[8] = 1;
-  util::atomic_write_file(path, version_1);
-  {
-    serve::ShardedIndex fleet{options};
-    try {
-      serve::DurableShardedIndex durable(fleet, dir.path());
-      FAIL() << "a version-1 manifest must be rejected";
-    } catch (const serve::SnapshotMismatch& error) {
-      EXPECT_NE(std::string(error.what()).find("manifest version 1"),
-                std::string::npos)
-          << error.what();
-    }
-  }
-
-  // The intact manifest still recovers, serial included.
-  util::atomic_write_file(path, valid);
-  serve::ShardedIndex recovered{options};
-  serve::DurableShardedIndex durable(recovered, dir.path());
-  EXPECT_EQ(recovered.query_serial(), 5u);
-  EXPECT_EQ(recovered.stored_count(), db.size());
-}
-
-// --------------------------------------------------- crash injection --
-
-/// Thrown by an armed failpoint to simulate dying at that instant.
-struct CrashSim {};
-
-/// The crash-sweep workload. Manifest writes happen at construction
-/// (cold start), configure, store, and each checkpoint — five per run,
-/// giving the manifest failpoints five deterministic crash events:
-///
-///   event 0: cold-start manifest (nothing applied)
-///   event 1: configure's manifest (configure applied + journaled)
-///   event 2: store's manifest     (+ store)
-///   event 3: checkpoint 1         (+ remove(1), insert(fresh[0]))
-///   event 4: checkpoint 2         (+ update(3, fresh[1]), insert(fresh[2]))
-void run_fleet_script(serve::DurableShardedIndex& durable,
-                      const std::vector<std::vector<int>>& db,
-                      const std::vector<std::vector<int>>& fresh) {
-  durable.configure(DistanceMetric::kHamming, 2);
-  durable.store(db);
-  durable.remove(1);
-  durable.insert(fresh[0]);
-  durable.checkpoint();
-  durable.update(3, fresh[1]);
-  durable.insert(fresh[2]);
-  durable.checkpoint();
-}
-
-/// The mutations durably applied when the crash hit manifest event `e`
-/// (the op whose manifest write crashed has already applied and
-/// journaled — see the DurableShardedIndex journal-ordering contract).
-void apply_reference_prefix(serve::ShardedIndex& fleet, std::uint64_t event,
-                            const std::vector<std::vector<int>>& db,
-                            const std::vector<std::vector<int>>& fresh) {
-  if (event >= 1) fleet.configure(DistanceMetric::kHamming, 2);
-  if (event >= 2) fleet.store(db);
-  if (event >= 3) {
-    fleet.remove(1);
-    fleet.insert(fresh[0]);
-  }
-  if (event >= 4) {
-    fleet.update(3, fresh[1]);
-    fleet.insert(fresh[2]);
-  }
-}
-
-const char* const kManifestSites[] = {
-    "sharded.manifest.before_write",
-    "sharded.manifest.after_write",
-};
-
-TEST_P(DurableShardedT, CrashInTheManifestWriteRecoversBitIdentical) {
-  const auto [backend, fidelity] = GetParam();
-  const auto db = data::random_int_vectors(7, 5, 4, 2048);
-  const auto queries = data::random_int_vectors(3, 5, 4, 2049);
-  const auto fresh = data::random_int_vectors(4, 5, 4, 2050);
-  const auto options = make_options(backend, fidelity, 3, 2);
-
-  for (const char* site : kManifestSites) {
-    // Dry run: enumerate this site's crash events across the workload.
-    std::uint64_t hits = 0;
-    {
-      ScopedDir dir;
-      serve::ShardedIndex fleet{options};
-      util::failpoint_arm(site, 0, nullptr);
-      serve::DurableShardedIndex durable(fleet, dir.path());
-      run_fleet_script(durable, db, fresh);
-      hits = util::failpoint_hits();
-      util::failpoint_disarm();
-    }
-    ASSERT_EQ(hits, 5u) << site << ": the event map above is stale";
-
-    for (std::uint64_t nth = 1; nth <= hits; ++nth) {
-      SCOPED_TRACE(std::string(site) + " hit " + std::to_string(nth));
-      ScopedDir dir;
-      {
-        serve::ShardedIndex fleet{options};
-        util::failpoint_arm(site, nth, [] { throw CrashSim{}; });
-        try {
-          serve::DurableShardedIndex durable(fleet, dir.path());
-          run_fleet_script(durable, db, fresh);
-          ADD_FAILURE() << "armed failpoint never fired";
-        } catch (const CrashSim&) {
-          // Died mid-workload; the in-memory fleet is abandoned.
-        }
-        util::failpoint_disarm();
-      }
-
-      // Recovery must succeed at every crash point (a torn manifest
-      // write is either the old or the new complete manifest)...
-      serve::ShardedIndex recovered{options};
-      serve::DurableShardedIndex durable2(recovered, dir.path());
-
-      // ...and equal an uninterrupted run of exactly the durable prefix.
-      serve::ShardedIndex reference{options};
-      apply_reference_prefix(reference, nth - 1, db, fresh);
-      expect_same_fleet_state(recovered, reference, queries, fresh[3]);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, DurableShardedT,
     ::testing::Combine(::testing::Values(Backend::kEngine, Backend::kBanked),
                        ::testing::Values(SearchFidelity::kCircuit,
                                          SearchFidelity::kNominal)),

@@ -75,9 +75,9 @@
 //                  not an enumerator, or a RejectedRequest subclass
 //                  that does not construct with a known enumerator.
 //   orphan-failpoint  A failpoint_hit("site") under src/ whose name
-//                  appears in neither crash sweep
-//                  (tests/test_durable.cpp / tests/test_sharded.cpp):
-//                  an untested crash point is a fault-injection hole.
+//                  does not appear in the crash sweep
+//                  (tests/test_durable.cpp): an untested crash point is
+//                  a fault-injection hole.
 //   stale-bench-label  A label committed in a BENCH_*.json that no
 //                  bench emitter can produce from its string literals
 //                  (directly or as a two-literal concatenation), a
@@ -690,7 +690,7 @@ struct Model {
   std::vector<MutexDecl> mutexes;
   std::vector<ObservedEdge> observed;
   std::vector<SiteRef> failpoints;     ///< src/ failpoint_hit sites
-  std::set<std::string> sweep_names;   ///< literals in the crash sweeps
+  std::set<std::string> sweep_names;   ///< literals in the crash sweep
   int sweep_files = 0;
   bool reject_enum = false;
   std::vector<SiteRef> enumerators;    ///< RejectReason enumerators
@@ -979,7 +979,7 @@ void extract_facts(const std::string& rel, const std::string& display,
     return false;
   };
 
-  if (rel == "tests/test_durable.cpp" || rel == "tests/test_sharded.cpp") {
+  if (rel == "tests/test_durable.cpp") {
     ++model.sweep_files;
     for (const Lit& lit : lits) {
       model.sweep_names.insert(raw.substr(lit.pos, lit.len));
@@ -1709,8 +1709,8 @@ void check_failpoints(const Model& model, std::vector<Violation>& out) {
     if (site.waived || model.sweep_names.count(site.text) != 0) continue;
     out.push_back({site.path, site.line, "orphan-failpoint",
                    "failpoint \"" + site.text +
-                       "\" appears in neither crash sweep "
-                       "(tests/test_durable.cpp / tests/test_sharded.cpp) — "
+                       "\" does not appear in the crash sweep "
+                       "(tests/test_durable.cpp) — "
                        "an unswept crash point is untested"});
   }
 }
@@ -1881,9 +1881,9 @@ const std::map<std::string, std::string>& rule_docs() {
        "case is real, every subclass carries a known reason. A rejection\n"
        "that cannot name itself is undebuggable at the client."},
       {"orphan-failpoint",
-       "Every failpoint_hit(\"site\") under src/ must appear in a crash\n"
-       "sweep (tests/test_durable.cpp or tests/test_sharded.cpp). A crash\n"
-       "point nobody injects is a recovery path nobody tests."},
+       "Every failpoint_hit(\"site\") under src/ must appear in the crash\n"
+       "sweep (tests/test_durable.cpp). A crash point nobody injects is a\n"
+       "recovery path nobody tests."},
       {"stale-bench-label",
        "Every label in a committed BENCH_*.json must be producible by the\n"
        "bench binary that owns the snapshot's bench name (a literal, or a\n"
